@@ -6,30 +6,38 @@ both as v4 stores, and measures what tiling costs and buys:
 
 * build seconds, monolithic vs tiled serial vs tiled ``--jobs 2``
   (per-tile builds fan out across processes);
-* query throughput through the packed tiled store at a *bounded*
-  tile residency (``--max-resident-tiles``), split into intra-tile
-  batches (one compiled table) and cross-tile batches (portal
-  stitching through the boundary matrix + LRU paging churn);
-* the deterministic paging footprint: peak resident tile bytes under
-  the bound vs the whole monolithic store.
+* query throughput through the packed tiled store under a page-pool
+  byte budget (``--max-resident-bytes``; every tile pages through one
+  shared pool), split into intra-tile batches (one compiled table)
+  and cross-tile batches (portal stitching through the boundary
+  matrix + paging churn), next to the unbounded tiled store;
+* the deterministic paging footprint: the pool's peak resident bytes
+  plus its fixed routing bytes vs the whole monolithic store, and the
+  page ledger (loads / evictions / hits).
 
-It *gates* (non-zero exit) on four invariants, which is what lets CI
+The default budget is the paged-column bytes of the store's two
+largest tiles — what two whole tiles held in memory.
+
+It *gates* (non-zero exit) on five invariants, which is what lets CI
 run it as a sharding regression smoke test:
 
-1. paged answers are **bit-identical** to the all-resident tiled
-   oracle on the full mixed workload;
+1. paged answers are **bit-identical** to the unbounded tiled oracle
+   on the full mixed workload;
 2. tiled and monolithic answers agree within the shared ``(1 + eps)``
    envelope (both sides hold the SE guarantee against the same exact
    metric, so their ratio is bounded by ``(1+eps)/(1-eps)``);
 3. cross-tile QPS stays within ``--max-cross-ratio`` (default 5x) of
-   intra-tile QPS at the bounded residency;
-4. the paged peak footprint stays below the monolithic store's bytes.
+   intra-tile QPS under the budget;
+4. the paged peak footprint stays below the monolithic store's bytes;
+5. at the largest scale, bounded QPS on the mixed workload stays at
+   or above ``--min-qps-ratio`` (default 0.3, the floor
+   ``bench_paged.py`` uses) of the unbounded tiled QPS.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_tiled.py \
-        --scales tiny small --tiles 4 --max-resident-tiles 2 \
-        --max-cross-ratio 5 --out BENCH_tiled.json
+        --scales tiny small --tiles 4 --max-cross-ratio 5 \
+        --min-qps-ratio 0.3 --out BENCH_tiled.json
 """
 
 from __future__ import annotations
@@ -55,6 +63,8 @@ from repro.core import (  # noqa: E402
     pack_oracle,
     pack_tiled,
 )
+from repro.core.paged import PAGED_SECTIONS  # noqa: E402
+from repro.core.store import section_layouts  # noqa: E402
 from repro.geodesic import GeodesicEngine  # noqa: E402
 from repro.terrain import make_terrain, sample_uniform  # noqa: E402
 
@@ -90,6 +100,18 @@ def split_pairs(owner: np.ndarray, sources: np.ndarray,
             (sources[~same], targets[~same]))
 
 
+def two_tile_budget(tiled_path: str) -> int:
+    """Paged-column bytes of the store's two largest tiles."""
+    _, layouts = section_layouts(tiled_path)
+    per_tile: dict = {}
+    for name, (_, dtype, shape) in layouts.items():
+        prefix, _, section = name.rpartition("/")
+        if prefix.startswith("tiles/") and section in PAGED_SECTIONS:
+            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            per_tile[prefix] = per_tile.get(prefix, 0) + nbytes
+    return sum(sorted(per_tile.values(), reverse=True)[:2])
+
+
 def timed_qps(oracle, sources, targets, repeats: int) -> float:
     if sources.size == 0:
         return float("nan")
@@ -101,7 +123,7 @@ def timed_qps(oracle, sources, targets, repeats: int) -> float:
     return sources.size / best if best > 0 else float("inf")
 
 
-def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
+def measure_scale(scale: str, tiles: int, max_resident_bytes,
                   queries: int, density: int, seed: int,
                   repeats: int) -> dict:
     mesh, pois, epsilon = make_workload(scale, density, seed)
@@ -136,9 +158,10 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
         mono_bytes = os.path.getsize(mono_path)
         tiled_bytes = os.path.getsize(tiled_path)
 
+        budget = (max_resident_bytes if max_resident_bytes is not None
+                  else two_tile_budget(tiled_path))
         full = open_oracle(tiled_path)
-        paged = open_oracle(tiled_path,
-                            max_resident_tiles=max_resident_tiles)
+        paged = open_oracle(tiled_path, max_resident_bytes=budget)
 
         # Gate 1: paging is invisible to answers.
         expected = full.query_batch(sources, targets)
@@ -157,11 +180,15 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
         # Warm one pass, then best-of timing per leg at the bound.
         intra_qps = timed_qps(paged, intra_s, intra_t, repeats)
         cross_qps = timed_qps(paged, cross_s, cross_t, repeats)
+        bounded_qps = timed_qps(paged, sources, targets, repeats)
+        unbounded_qps = timed_qps(full, sources, targets, repeats)
         mono_stored = open_oracle(mono_path)
         mono_qps = timed_qps(mono_stored, sources, targets, repeats)
 
-        ledger = paged.tile_counters()
-        peak_paged_bytes = paged.peak_resident_bytes
+        ledger = paged.page_counters()
+        paged.close()
+        peak_paged_bytes = (ledger["peak_resident_bytes"]
+                            + ledger["fixed_bytes"])
 
     cross_ratio = (intra_qps / cross_qps
                    if cross_qps and np.isfinite(cross_qps) else
@@ -172,7 +199,9 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
         "tiles": tiles,
         "portals": build.meta["tiles"]["portals"],
         "epsilon": epsilon,
-        "max_resident_tiles": max_resident_tiles,
+        "max_resident_bytes": budget,
+        "page_bytes": ledger["page_bytes"],
+        "max_pages": ledger["max_pages"],
         "queries": queries,
         "intra_pairs": int(intra_s.size),
         "cross_pairs": int(cross_s.size),
@@ -181,14 +210,23 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
         "tiled_build_jobs2_seconds": tiled_build_jobs2,
         "mono_store_bytes": mono_bytes,
         "tiled_store_bytes": tiled_bytes,
+        "peak_pool_bytes": ledger["peak_resident_bytes"],
+        "fixed_bytes": ledger["fixed_bytes"],
         "peak_paged_bytes": int(peak_paged_bytes),
         "mono_qps": mono_qps,
+        "unbounded_qps": unbounded_qps,
+        "bounded_qps": bounded_qps,
+        "qps_ratio": bounded_qps / unbounded_qps,
         "intra_qps": intra_qps,
         "cross_qps": cross_qps,
         "cross_ratio": cross_ratio,
-        "tile_loads": ledger["loads"],
-        "tile_evictions": ledger["evictions"],
-        "tile_hits": ledger["hits"],
+        "page_loads": ledger["loads"],
+        "page_evictions": ledger["evictions"],
+        "page_hits": ledger["hits"],
+        "ledger_reconciles": (
+            ledger["loads"] - ledger["evictions"]
+            == ledger["resident_pages"]
+            and ledger["peak_resident_bytes"] <= ledger["budget_bytes"]),
         "worst_envelope_ratio": worst_ratio,
         "envelope_bound": envelope,
         "equivalent": mismatches == 0,
@@ -204,8 +242,10 @@ def main(argv=None) -> int:
                         choices=sorted(SCALES),
                         help="workload scales to sweep, smallest first")
     parser.add_argument("--tiles", type=int, default=4)
-    parser.add_argument("--max-resident-tiles", type=int, default=2,
-                        help="tile LRU bound for the paged QPS legs")
+    parser.add_argument("--max-resident-bytes", type=int, default=None,
+                        help="page-pool budget for the paged QPS legs "
+                             "(default: the paged-column bytes of the "
+                             "store's two largest tiles)")
     parser.add_argument("--queries", type=int, default=20000,
                         help="random query pairs for the gates")
     parser.add_argument("--density", type=int, default=1)
@@ -215,12 +255,15 @@ def main(argv=None) -> int:
     parser.add_argument("--max-cross-ratio", type=float, default=None,
                         help="fail if the largest scale's intra/cross "
                              "QPS ratio exceeds this")
+    parser.add_argument("--min-qps-ratio", type=float, default=0.3,
+                        help="fail if the largest scale's bounded / "
+                             "unbounded tiled QPS falls below this")
     parser.add_argument("--out", default=None, help="JSON report path")
     args = parser.parse_args(argv)
 
     runs = []
     for scale in args.scales:
-        run = measure_scale(scale, args.tiles, args.max_resident_tiles,
+        run = measure_scale(scale, args.tiles, args.max_resident_bytes,
                             args.queries, args.density, args.seed,
                             args.repeats)
         runs.append(run)
@@ -232,6 +275,8 @@ def main(argv=None) -> int:
             worst = run["worst_envelope_ratio"]
             verdict = (f"ENVELOPE BROKEN: x{worst:.3f} > "
                        f"x{run['envelope_bound']:.3f}")
+        elif not run["ledger_reconciles"]:
+            verdict = "LEDGER BROKEN: pages do not reconcile"
         elif not run["paged_under_mono"]:
             verdict = "FOOTPRINT BROKEN: paged peak >= monolithic"
         print(f"{scale:7s} n={run['num_pois']:4d} tiles={run['tiles']} "
@@ -242,16 +287,22 @@ def main(argv=None) -> int:
               f"qps intra {run['intra_qps']:>10,.0f} "
               f"cross {run['cross_qps']:>10,.0f} "
               f"(ratio x{run['cross_ratio']:4.1f})  "
+              f"bounded/unbounded x{run['qps_ratio']:4.2f}  "
+              f"pages {run['page_loads']} loads "
+              f"{run['page_evictions']} evictions "
+              f"{run['page_hits']} hits  "
               f"peak {run['peak_paged_bytes'] / 1024:7.1f}KB / "
               f"{run['mono_store_bytes'] / 1024:7.1f}KB  {verdict}")
 
     healthy = all(run["equivalent"] and run["within_envelope"]
+                  and run["ledger_reconciles"]
                   and run["paged_under_mono"] for run in runs)
     final_ratio = runs[-1]["cross_ratio"]
+    final_qps_ratio = runs[-1]["qps_ratio"]
     report = {
         "benchmark": "bench_tiled",
         "tiles": args.tiles,
-        "max_resident_tiles": args.max_resident_tiles,
+        "max_resident_bytes": args.max_resident_bytes,
         "queries": args.queries,
         "density": args.density,
         "seed": args.seed,
@@ -263,6 +314,8 @@ def main(argv=None) -> int:
         "healthy": healthy,
         "max_cross_ratio_required": args.max_cross_ratio,
         "final_cross_ratio": final_ratio,
+        "min_qps_ratio_required": args.min_qps_ratio,
+        "final_qps_ratio": final_qps_ratio,
         "runs": runs,
     }
     if args.out:
@@ -277,6 +330,10 @@ def main(argv=None) -> int:
             final_ratio > args.max_cross_ratio:
         print(f"FAILED: cross-tile QPS x{final_ratio:.1f} slower than "
               f"intra-tile; required within x{args.max_cross_ratio:.1f}")
+        return 1
+    if final_qps_ratio < args.min_qps_ratio:
+        print(f"FAILED: bounded tiled QPS x{final_qps_ratio:.2f} of "
+              f"unbounded; required at least x{args.min_qps_ratio:.2f}")
         return 1
     return 0
 

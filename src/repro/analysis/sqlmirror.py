@@ -216,7 +216,7 @@ def mirror_service_stats(connection: sqlite3.Connection,
     """Insert the numeric leaves of a service ``stats()`` report.
 
     Nested ledgers flatten to dotted metric paths
-    (``paging.peak_resident_bytes``, ``tiles.loads`` …); non-numeric
+    (``paging.peak_resident_bytes``, ``paging.loads`` …); non-numeric
     leaves (paths, flags-as-strings) are skipped.  Returns the number
     of counter rows inserted.
     """

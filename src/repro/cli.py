@@ -38,7 +38,6 @@ Examples
     python -m repro build terrain.off --pois 50 --tiles 4 \
         --out tiled.store
     python -m repro serve alps=oracle.store --repl
-    python -m repro serve alps=tiled.store --max-resident-tiles 2 --repl
     python -m repro serve alps=oracle.store --max-resident-bytes 262144 \
         --repl
     python -m repro analyze oracle.store --db oracle.db \
@@ -135,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "time alongside the answers")
     query.add_argument("--max-resident-bytes", type=int, default=None,
                        metavar="N",
-                       help="with --store: serve through the paged "
-                            "backend with the pair/hash page pool "
-                            "capped at N bytes (bit-identical answers; "
-                            "prints the paging ledger)")
+                       help="with --store: page the pair/hash columns "
+                            "(every tile's, for a tiled store) through "
+                            "a pool capped at N bytes (bit-identical "
+                            "answers; prints the paging ledger)")
 
     pack = commands.add_parser(
         "pack", help="convert a JSON oracle to the v4 binary store")
@@ -153,17 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-resident", type=int, default=4,
                        help="LRU bound on simultaneously resident "
                             "compiled tables")
-    serve.add_argument("--max-resident-tiles", type=int, default=None,
-                       metavar="N",
-                       help="tiled stores: LRU bound on simultaneously "
-                            "resident tile shards per terrain (default: "
-                            "all tiles stay resident)")
     serve.add_argument("--max-resident-bytes", type=int, default=None,
                        metavar="N",
-                       help="monolithic stores: serve each static "
-                            "terrain through the paged backend with "
-                            "its pair/hash page pool capped at N bytes "
-                            "(bit-identical; ledger in stats)")
+                       help="page each static terrain's pair/hash "
+                            "columns through a pool capped at N bytes "
+                            "(one pool per terrain, shared by its "
+                            "tiles; bit-identical; ledger in stats)")
     serve.add_argument("--mutable", action="append", default=[],
                        metavar="NAME=MESH",
                        help="register NAME (also given as NAME=STORE) as "
@@ -468,10 +462,11 @@ def _cmd_query(args) -> int:
 
 
 def _print_page_ledger(stored) -> None:
-    """One summary line of the paged backend's ledger, if there is one."""
-    if not hasattr(stored, "page_counters"):
+    """One summary line of the page pool's ledger, if there is one."""
+    from .core.paged import page_ledger
+    ledger = page_ledger(stored)
+    if ledger is None:
         return
-    ledger = stored.page_counters()
     print(f"paging: {ledger['loads']} loads / {ledger['evictions']} "
           f"evictions / {ledger['hits']} hits, peak "
           f"{ledger['peak_resident_bytes']} B of "
@@ -557,12 +552,6 @@ def _cmd_pack(args) -> int:
 
 def _cmd_serve(args) -> int:
     from .serving import OracleService, TerrainSpec
-    if (args.max_resident_bytes is not None
-            and args.max_resident_tiles is not None):
-        print("error: --max-resident-tiles pages tiled stores and "
-              "--max-resident-bytes pages monolithic ones; pick one",
-              file=sys.stderr)
-        return 2
     service = OracleService(max_resident=args.max_resident)
     import zipfile
     mutable_meshes = {}
@@ -591,9 +580,7 @@ def _cmd_serve(args) -> int:
                     rebuild_factor=args.rebuild_factor))
             else:
                 meta = service.register(name, TerrainSpec(
-                    path,
-                    max_resident_tiles=args.max_resident_tiles,
-                    max_resident_bytes=args.max_resident_bytes))
+                    path, max_resident_bytes=args.max_resident_bytes))
         except (OSError, ValueError, zipfile.BadZipFile) as error:
             print(f"error: cannot register {name}: {error}",
                   file=sys.stderr)
@@ -628,7 +615,6 @@ def _cmd_serve(args) -> int:
             host=args.host, port=args.port, workers=args.workers,
             max_batch=args.max_batch, linger_us=args.linger_us,
             max_resident=args.max_resident,
-            max_resident_tiles=args.max_resident_tiles,
             max_resident_bytes=args.max_resident_bytes)
         # Single-worker mode reuses the service registered above
         # instead of rebuilding mutable workloads a second time.

@@ -634,17 +634,15 @@ class StoredOracle:
 
 def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
                 strict: bool = True, mmap: bool = True,
-                max_resident_tiles: Optional[int] = None,
                 max_resident_bytes: Optional[int] = None):
     """Open a v4 store with memory-mapped query tables.
 
     Returns a :class:`StoredOracle` — or, when the store's meta
     carries a tile directory (``python -m repro build --tiles``), a
-    :class:`~repro.core.tiled.TiledOracle` whose tile tables page
-    lazily; or, with ``max_resident_bytes``, a
-    :class:`~repro.core.paged.PagedOracle` that pages the pair/hash
-    columns through a bounded pool.  All serve the ``DistanceIndex``
-    protocol.
+    :class:`~repro.core.tiled.TiledOracle` whose tile tables load
+    lazily; or, for a monolithic store with ``max_resident_bytes``, a
+    :class:`~repro.core.paged.PagedOracle`.  All serve the
+    ``DistanceIndex`` protocol.
 
     Parameters
     ----------
@@ -662,26 +660,19 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
         Map sections read-only straight off disk (default).  ``False``
         reads copies instead — only useful when the file will be
         replaced while open.
-    max_resident_tiles:
-        Tiled stores only: bound on concurrently resident tile tables
-        (``None``: unbounded).  Ignored for monolithic stores.
     max_resident_bytes:
-        Monolithic stores only: serve the O(#pairs) pair/hash columns
-        through a fixed-size page pool of at most this many bytes
-        instead of whole-section mmaps (``None``: unbounded mmaps).
-        Queries are bit-identical at any bound.  Tiled stores page at
-        tile granularity — combining both is an error.
+        Serve the O(#pairs) pair/hash columns through a fixed-size
+        page pool of at most this many bytes instead of whole-section
+        mmaps (``None``: unbounded mmaps).  A tiled store pages all of
+        its tiles through one shared pool.  Queries are bit-identical
+        at any bound.
     """
     started = time.perf_counter()
     signature = file_signature(path)
     if "tiles" in read_store_meta(path):
-        if max_resident_bytes is not None:
-            raise ValueError(
-                f"{path}: tiled stores page at tile granularity; use "
-                "max_resident_tiles instead of max_resident_bytes")
         from .tiled import open_tiled_oracle
         stored = open_tiled_oracle(
-            path, mmap=mmap, max_resident_tiles=max_resident_tiles)
+            path, mmap=mmap, max_resident_bytes=max_resident_bytes)
         if engine is not None and strict:
             stored.check_fingerprint(engine)
         return stored

@@ -48,12 +48,15 @@ Tile extraction is order-preserving (faces ascending, vertices via
 ``np.unique``), so Steiner placement inside a tile reproduces the
 full-mesh positions bitwise, a single-tile build is **bit-identical**
 to the monolithic oracle, and parallel tile builds are bit-identical
-to serial ones.  At query time only the per-tile query tables (chains
-+ frozen hash) page through an internal LRU (``max_resident_tiles``);
-the stitch consumes tile A's probe matrix *before* touching tile B, so
-a one-tile budget serves cross-tile batches correctly — and, the
-arithmetic being independent of residency, bit-identically to an
-all-resident run.
+to serial ones.  At query time each tile's query tables (chains +
+frozen hash) load lazily, on first use.  Without a budget they are
+whole-section mmaps; under ``max_resident_bytes`` every tile's
+pair/hash columns page through **one shared page pool**
+(:mod:`~repro.core.paged`) keyed ``(tiles/NNNN/<section>, page)``, so
+the pool is the only residency bound inside a store.  Paging changes
+where an element's bytes come from, never which element is read, so
+answers are bit-identical to an all-resident run at any budget, down
+to a single page.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ import os
 import threading
 import time
 import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -83,6 +85,7 @@ from ..terrain.poi import POI, POISet
 from .compiled import CompiledOracle
 from .index import DistanceIndexMixin, aligned_id_arrays
 from .oracle import SEOracle
+from .paged import PAGED_SECTIONS, _PagePool, paged_compiled, pool_shape
 from .parallel import map_jobs
 from .store import (
     _FORMAT_NAME,
@@ -92,6 +95,7 @@ from .store import (
     _write_store,
     STORE_VERSION,
     file_signature,
+    section_layouts,
 )
 
 __all__ = [
@@ -114,6 +118,19 @@ _STITCH_CHUNK = 128
 
 def _tile_prefix(tile: int) -> str:
     return f"tiles/{tile:04d}/"
+
+
+def _compiled_tile(sections: Dict[str, np.ndarray], seed: int,
+                   epsilon: float) -> Tuple[CompiledOracle, int]:
+    """A tile's compiled tables over whole sections, plus their bytes."""
+    pair_hash = PerfectHashMap.from_frozen(
+        sections["pair_keys"], sections["pair_distances"],
+        sections["hash_level1"], sections["hash_level2_a"],
+        sections["hash_level2_shift"], sections["hash_level2_offset"],
+        sections["hash_slots"], seed=seed,
+    )
+    return (CompiledOracle(sections["chains"], pair_hash, epsilon),
+            sum(int(array.nbytes) for array in sections.values()))
 
 
 def _position_key(position: Sequence[float]) -> Tuple[float, ...]:
@@ -371,20 +388,22 @@ class TiledBuild:
     portal_global: List[np.ndarray]
     sections: List[Dict[str, np.ndarray]]
 
-    def oracle(self, max_resident_tiles: Optional[int] = None
-               ) -> "TiledOracle":
+    def oracle(self) -> "TiledOracle":
         sections = self.sections
+        seed = int(self.meta["seed"])
+        epsilon = float(self.meta["epsilon"])
 
-        def loader(tile: int) -> Dict[str, np.ndarray]:
-            return {name: sections[tile][name]
-                    for name in _TILE_QUERY_SECTIONS}
+        def loader(tile: int) -> Tuple[CompiledOracle, int]:
+            return _compiled_tile({name: sections[tile][name]
+                                   for name in _TILE_QUERY_SECTIONS},
+                                  seed, epsilon)
 
         return TiledOracle(
             meta=self.meta, owner=self.owner, local=self.local,
             boundary=self.boundary, portal_local=self.portal_local,
             portal_global=self.portal_global,
             escape=[tile["escape"] for tile in sections],
-            loader=loader, max_resident_tiles=max_resident_tiles)
+            loader=loader)
 
 
 def build_tiled_oracle(mesh: TriangleMesh, pois: POISet,
@@ -477,15 +496,19 @@ def pack_tiled(build: TiledBuild, path) -> None:
 
 
 def open_tiled_oracle(path, mmap: bool = True,
-                      max_resident_tiles: Optional[int] = None
+                      max_resident_bytes: Optional[int] = None
                       ) -> "TiledOracle":
-    """Open a tiled store with *lazily paged* tile tables.
+    """Open a tiled store with *lazily loaded* tile tables.
 
     Only the small routing arrays (owner/local maps, portal maps,
     escapes — plus the mmap'd boundary matrix) are touched up front;
-    each tile's query tables are mapped on first use and page through
-    the oracle's internal LRU.  Prefer :func:`~repro.core.store.
-    open_oracle`, which dispatches here on the meta tile directory.
+    each tile's query tables load on first use.  Without a budget they
+    are whole-section mmaps (copies with ``mmap=False``).  With
+    ``max_resident_bytes`` every tile's pair/hash columns page through
+    one shared pool, shaped by the same rule as
+    :class:`~repro.core.paged.PagedOracle`'s.  Prefer
+    :func:`~repro.core.store.open_oracle`, which dispatches here on
+    the meta tile directory.
     """
     started = time.perf_counter()
     signature = file_signature(path)
@@ -525,25 +548,41 @@ def open_tiled_oracle(path, mmap: bool = True,
                     name: infos[prefix + name + ".npy"]
                     for name in _TILE_QUERY_SECTIONS})
 
-    def loader(tile: int) -> Dict[str, np.ndarray]:
-        sections: Dict[str, np.ndarray] = {}
-        if mmap:
+    seed = int(meta["seed"])
+    epsilon = float(meta["epsilon"])
+    pool = None
+    if max_resident_bytes is not None:
+        _, layouts = section_layouts(path)
+        pool = _PagePool(
+            path, layouts,
+            [_tile_prefix(tile) + name for tile in range(count)
+             for name in PAGED_SECTIONS],
+            *pool_shape(max_resident_bytes))
+
+        def loader(tile: int) -> Tuple[CompiledOracle, int]:
             with open(path, "rb") as handle:
-                for name, info in tile_infos[tile].items():
-                    sections[name] = _mmap_member(path, handle, info)
-        else:
-            with zipfile.ZipFile(path) as archive:
-                for name, info in tile_infos[tile].items():
-                    with archive.open(info.filename) as member:
-                        sections[name] = np.lib.format.read_array(
-                            member, allow_pickle=False)
-        return sections
+                return paged_compiled(pool, handle, layouts, epsilon,
+                                      _tile_prefix(tile))
+    else:
+        def loader(tile: int) -> Tuple[CompiledOracle, int]:
+            sections: Dict[str, np.ndarray] = {}
+            if mmap:
+                with open(path, "rb") as handle:
+                    for name, info in tile_infos[tile].items():
+                        sections[name] = _mmap_member(path, handle,
+                                                      info)
+            else:
+                with zipfile.ZipFile(path) as archive:
+                    for name, info in tile_infos[tile].items():
+                        with archive.open(info.filename) as member:
+                            sections[name] = np.lib.format.read_array(
+                                member, allow_pickle=False)
+            return _compiled_tile(sections, seed, epsilon)
 
     oracle = TiledOracle(
         meta=meta, owner=owner, local=local, boundary=boundary,
         portal_local=portal_local, portal_global=portal_global,
-        escape=escape, loader=loader, path=os.fspath(path),
-        max_resident_tiles=max_resident_tiles,
+        escape=escape, loader=loader, path=os.fspath(path), pool=pool,
         stat_signature=signature)
     oracle.load_seconds = time.perf_counter() - started
     return oracle
@@ -567,36 +606,29 @@ def _min_plus(left: np.ndarray, middle: np.ndarray,
     return out
 
 
-class _ResidentTile:
-    __slots__ = ("compiled", "nbytes")
-
-    def __init__(self, compiled: CompiledOracle, nbytes: int):
-        self.compiled = compiled
-        self.nbytes = nbytes
-
-
 class TiledOracle(DistanceIndexMixin):
-    """``DistanceIndex`` over tile shards with LRU tile paging.
+    """``DistanceIndex`` over tile shards.
 
     Global POI ids are the build POI set's indices; the routing arrays
-    map each id to its owning tile and tile-local site id.  Per-tile
-    query tables (chains + frozen hash) load lazily through
-    ``loader`` and at most ``max_resident_tiles`` stay resident
-    (``None``: unbounded); loads, evictions and hits are counted per
-    tile for the serving layer's ``stats``.
+    map each id to its owning tile and tile-local site id.  Each
+    tile's compiled tables come from ``loader`` on first use — which
+    returns them with their resident byte count — and are kept:
+    residency is bounded by ``pool`` (the shared page pool a byte
+    budget opens, see :func:`open_tiled_oracle`), never by dropping
+    whole tiles.
 
-    Thread-safe: one re-entrant lock serialises paging and queries, so
-    an eviction can never tear an in-flight batch.  Results are
-    independent of the residency bound (and of eviction timing) — the
-    stitch arithmetic only ever touches one tile's tables at a time.
+    Thread-safe: a lock guards the lazy per-tile fill and the pool
+    serialises its gathers.  Results are independent of the pool
+    bound — the stitch arithmetic reads the same elements whatever is
+    resident.
     """
 
     def __init__(self, *, meta: Dict[str, Any], owner, local, boundary,
                  portal_local: Sequence, portal_global: Sequence,
                  escape: Sequence,
-                 loader: Callable[[int], Dict[str, np.ndarray]],
+                 loader: Callable[[int], Tuple[CompiledOracle, int]],
                  path: Optional[str] = None,
-                 max_resident_tiles: Optional[int] = None,
+                 pool: Optional[_PagePool] = None,
                  stat_signature=None):
         self.meta = meta
         self.path = path
@@ -616,19 +648,12 @@ class TiledOracle(DistanceIndexMixin):
         self._portal_global = [np.asarray(p) for p in portal_global]
         self._escape = [np.asarray(e) for e in escape]
         self._loader = loader
+        self._pool = pool
         self._num_tiles = len(self._portal_local)
-        if max_resident_tiles is not None:
-            max_resident_tiles = int(max_resident_tiles)
-            if max_resident_tiles < 1:
-                raise ValueError("max_resident_tiles must be >= 1")
-        self._max_resident_tiles = max_resident_tiles
-        self._resident: "OrderedDict[int, _ResidentTile]" = OrderedDict()
-        self._counters = [
-            {"loads": 0, "evictions": 0, "hits": 0}
-            for _ in range(self._num_tiles)
-        ]
-        self._peak_resident_bytes = 0
-        self._lock = threading.RLock()
+        self._tiles: List[Optional[CompiledOracle]] = \
+            [None] * self._num_tiles
+        self._tile_bytes = 0
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # protocol surface
@@ -661,10 +686,6 @@ class TiledOracle(DistanceIndexMixin):
     def is_compiled(self) -> bool:
         return True
 
-    @property
-    def max_resident_tiles(self) -> Optional[int]:
-        return self._max_resident_tiles
-
     def is_stale(self) -> bool:
         """Same replaced-file semantics as ``StoredOracle.is_stale``."""
         if self.stat_signature is None or self.path is None:
@@ -673,14 +694,14 @@ class TiledOracle(DistanceIndexMixin):
         return current is not None and current != self.stat_signature
 
     def size_bytes(self) -> int:
-        """On-disk footprint (store-backed) or the routing + resident
-        table bytes (in-memory build)."""
+        """On-disk footprint (store-backed) or the routing + loaded
+        tile table bytes (in-memory build)."""
         if self.path is not None:
             return os.path.getsize(self.path)
         routing = (int(np.asarray(self._boundary).nbytes)
                    + int(self._owner.nbytes) + int(self._local.nbytes)
                    + sum(int(e.nbytes) for e in self._escape))
-        return routing + self.resident_bytes()
+        return routing + self._tile_bytes
 
     def check_fingerprint(self, engine: GeodesicEngine) -> None:
         from .serialize import workload_fingerprint
@@ -690,77 +711,30 @@ class TiledOracle(DistanceIndexMixin):
                 "workload (terrain / POIs / Steiner density mismatch)")
 
     # ------------------------------------------------------------------
-    # paging
+    # tiles and paging
     # ------------------------------------------------------------------
     def _tile(self, tile: int) -> CompiledOracle:
-        with self._lock:
-            resident = self._resident.get(tile)
-            counters = self._counters[tile]
-            if resident is not None:
-                self._resident.move_to_end(tile)
-                counters["hits"] += 1
-                return resident.compiled
-            sections = self._loader(tile)
-            pair_hash = PerfectHashMap.from_frozen(
-                sections["pair_keys"], sections["pair_distances"],
-                sections["hash_level1"], sections["hash_level2_a"],
-                sections["hash_level2_shift"],
-                sections["hash_level2_offset"],
-                sections["hash_slots"], seed=self.seed,
-            )
-            compiled = CompiledOracle(sections["chains"], pair_hash,
-                                      self.epsilon)
-            nbytes = sum(int(array.nbytes)
-                         for array in sections.values())
-            counters["loads"] += 1
-            if self._max_resident_tiles is not None:
-                while len(self._resident) >= self._max_resident_tiles:
-                    evicted, _ = self._resident.popitem(last=False)
-                    self._counters[evicted]["evictions"] += 1
-            self._resident[tile] = _ResidentTile(compiled, nbytes)
-            self._peak_resident_bytes = max(
-                self._peak_resident_bytes, self.resident_bytes())
-            return compiled
+        compiled = self._tiles[tile]
+        if compiled is None:
+            with self._lock:
+                compiled = self._tiles[tile]
+                if compiled is None:
+                    compiled, nbytes = self._loader(tile)
+                    self._tiles[tile] = compiled
+                    self._tile_bytes += nbytes
+        return compiled
 
-    def resident_tiles(self) -> List[int]:
-        with self._lock:
-            return list(self._resident)
+    def page_counters(self) -> Optional[Dict[str, Any]]:
+        """The shared pool's ledger (``fixed_bytes``: the loaded
+        tiles' chains, key planes and level-1 hashes), or ``None``
+        when tiles are mapped whole."""
+        if self._pool is None:
+            return None
+        return self._pool.ledger(self._tile_bytes)
 
-    def resident_bytes(self) -> int:
-        """Bytes of per-tile query tables currently resident — the
-        deterministic footprint ``max_resident_tiles`` bounds (the
-        process RSS also carries the interpreter, NumPy, and the
-        always-resident routing arrays)."""
-        with self._lock:
-            return sum(entry.nbytes
-                       for entry in self._resident.values())
-
-    @property
-    def peak_resident_bytes(self) -> int:
-        return self._peak_resident_bytes
-
-    def evict_tile(self, tile: int) -> bool:
-        """Drop one tile's tables; a later query transparently
-        reloads them.  Returns whether the tile was resident."""
-        with self._lock:
-            if tile not in self._resident:
-                return False
-            del self._resident[tile]
-            self._counters[tile]["evictions"] += 1
-            return True
-
-    def tile_counters(self) -> Dict[str, Any]:
-        """Paging ledger for ``OracleService.stats``: totals plus the
-        per-tile load/eviction/hit counts and the resident set."""
-        with self._lock:
-            return {
-                "resident": list(self._resident),
-                "loads": sum(c["loads"] for c in self._counters),
-                "evictions": sum(c["evictions"]
-                                 for c in self._counters),
-                "hits": sum(c["hits"] for c in self._counters),
-                "tile": [dict(c) for c in self._counters],
-            }
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.close()
 
     # ------------------------------------------------------------------
     # queries
@@ -774,26 +748,25 @@ class TiledOracle(DistanceIndexMixin):
         for ids in (sources, targets):
             if int(ids.min()) < 0 or int(ids.max()) >= count:
                 raise IndexError("POI id out of range")
-        with self._lock:
-            tile_s = self._owner[sources]
-            tile_t = self._owner[targets]
-            local_s = self._local[sources]
-            local_t = self._local[targets]
-            # Group rows by (source tile, target tile), sorted — the
-            # sequential tile access pattern an LRU of 1 can serve.
-            group = tile_s * self._num_tiles + tile_t
-            order = np.argsort(group, kind="stable")
-            starts = np.flatnonzero(np.diff(group[order])) + 1
-            for rows in np.split(order, starts):
-                source_tile = int(tile_s[rows[0]])
-                target_tile = int(tile_t[rows[0]])
-                if source_tile == target_tile:
-                    out[rows] = self._intra(
-                        source_tile, local_s[rows], local_t[rows])
-                else:
-                    out[rows] = self._cross(
-                        source_tile, target_tile,
-                        local_s[rows], local_t[rows])
+        tile_s = self._owner[sources]
+        tile_t = self._owner[targets]
+        local_s = self._local[sources]
+        local_t = self._local[targets]
+        # Group rows by (source tile, target tile), sorted, so each
+        # tile's tables are probed in contiguous runs.
+        group = tile_s * self._num_tiles + tile_t
+        order = np.argsort(group, kind="stable")
+        starts = np.flatnonzero(np.diff(group[order])) + 1
+        for rows in np.split(order, starts):
+            source_tile = int(tile_s[rows[0]])
+            target_tile = int(tile_t[rows[0]])
+            if source_tile == target_tile:
+                out[rows] = self._intra(
+                    source_tile, local_s[rows], local_t[rows])
+            else:
+                out[rows] = self._cross(
+                    source_tile, target_tile,
+                    local_s[rows], local_t[rows])
         return out
 
     def _portal_probe(self, compiled: CompiledOracle, locals_,
@@ -843,9 +816,7 @@ class TiledOracle(DistanceIndexMixin):
             self._portal_global[source_tile],
             self._portal_global[target_tile])])
         # The source tile is fully consumed before the target tile is
-        # touched, so a one-tile residency budget pages exactly two
-        # loads per (A, B) group — and the answers cannot depend on
-        # what was resident.
+        # touched, so the pool pages one tile's columns at a time.
         source_probe = self._portal_probe(
             self._tile(source_tile), local_s, portals_s)
         target_probe = self._portal_probe(

@@ -4,8 +4,9 @@
 every registration is a declarative :class:`TerrainSpec` — keeps an
 LRU-bounded set of compiled tables resident, routes batched distance
 and proximity queries per terrain, and exposes per-terrain
-hit/load/latency counters.  Tiled stores additionally page individual
-tile shards through their own LRU (``TerrainSpec.max_resident_tiles``).
+hit/load/latency counters.  ``TerrainSpec.max_resident_bytes`` pages
+a store's pair/hash columns — every tile of a tiled store through one
+shared pool — and reports the pool's ledger under ``paging``.
 
 :mod:`~repro.serving.protocol` defines the newline-delimited-JSON wire
 protocol, :mod:`~repro.serving.server` the asyncio TCP front-end with

@@ -99,7 +99,6 @@ class ServerConfig:
     max_batch: int = 64
     linger_us: float = 0.0
     max_resident: int = 4
-    max_resident_tiles: Optional[int] = None
     max_resident_bytes: Optional[int] = None
 
 
@@ -126,7 +125,6 @@ def build_service(config: ServerConfig, worker_id: int = 0) -> OracleService:
         if spec is None:
             service.register(name, TerrainSpec(
                 path,
-                max_resident_tiles=config.max_resident_tiles,
                 max_resident_bytes=config.max_resident_bytes,
             ))
         elif worker_id == 0:

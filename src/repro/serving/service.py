@@ -11,11 +11,8 @@ Design
 * **One registration entry point.**  ``register`` takes a
   :class:`TerrainSpec` — a frozen declarative description (``path``,
   ``mutable=``, ``engine=``, ``track_generation=``, ``pin=``,
-  ``max_resident_tiles=``) that the CLI and
-  :class:`~repro.serving.server.ServerConfig` both construct.  The old
-  ``register(id, path, track_generation)`` / ``register_mutable``
-  signatures survive as thin deprecated shims (``DeprecationWarning``;
-  removal planned for the next API-cleanup PR).
+  ``max_resident_bytes=``) that the CLI and
+  :class:`~repro.serving.server.ServerConfig` both construct.
 * **Registration is free.**  ``register`` reads only the store's
   ``meta.json`` member (a few hundred bytes) — no array section is
   touched, so a service can register thousands of terrains at startup.
@@ -26,14 +23,14 @@ Design
   the OS page cache decides what actually leaves memory, and a re-load
   of a warm store is microseconds.  ``pin=True`` keeps a terrain out
   of the eviction order entirely.
-* **Tiled terrains page at tile granularity.**  A store packed by
-  ``build --tiles`` opens as a
-  :class:`~repro.core.tiled.TiledOracle`: the service-level LRU holds
-  the (small) routing arrays while the oracle's internal LRU pages
-  individual tile tables under ``TerrainSpec.max_resident_tiles``;
-  per-tile load/evict/hit counters surface in :meth:`stats` and
-  :meth:`describe`, so a terrain larger than RAM serves with bounded
-  residency.
+* **One byte budget pages any store.**  Under
+  ``TerrainSpec.max_resident_bytes`` a monolithic store opens as a
+  :class:`~repro.core.paged.PagedOracle` and a store packed by
+  ``build --tiles`` as a :class:`~repro.core.tiled.TiledOracle` whose
+  tiles share one page pool.  Either way the pool's ledger
+  (loads/evictions/hits, resident/peak bytes) surfaces under the
+  ``paging`` key of :meth:`stats` and :meth:`describe`, so a terrain
+  larger than RAM serves with bounded residency.
 * **Mutable terrains.**  ``TerrainSpec(mutable=True, engine=...)``
   pairs a store with its terrain workload and wraps it in a
   :class:`~repro.core.dynamic.DynamicSEOracle` overlay
@@ -63,15 +60,15 @@ import functools
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.dynamic import DynamicSEOracle
 from ..core.index import DistanceIndex, ensure_index
+from ..core.paged import page_ledger
 from ..core.store import (
     StoredOracle,
     open_oracle,
@@ -117,16 +114,13 @@ class TerrainSpec:
     rebuild_factor / jobs:
         Overlay rebuild knobs (mutable only), as in
         :meth:`~repro.core.dynamic.DynamicSEOracle.from_store`.
-    max_resident_tiles:
-        Tiled stores: bound on concurrently resident tile tables
-        (``None``: all tiles may stay resident).
     max_resident_bytes:
-        Monolithic stores: serve through a
-        :class:`~repro.core.paged.PagedOracle` whose pair/hash-column
-        page pool is capped at this many bytes (``None``: unbounded
-        whole-section mmaps).  Queries are bit-identical at any
-        bound; the paging ledger surfaces in :meth:`OracleService.
-        stats` / :meth:`OracleService.describe`.
+        Serve the store's pair/hash columns through a page pool
+        capped at this many bytes — one pool per terrain, shared by
+        all tiles of a tiled store (``None``: unbounded whole-section
+        mmaps).  Queries are bit-identical at any bound; the paging
+        ledger surfaces in :meth:`OracleService.stats` /
+        :meth:`OracleService.describe`.
     """
 
     path: str
@@ -136,7 +130,6 @@ class TerrainSpec:
     pin: bool = False
     rebuild_factor: float = 0.25
     jobs: int = 1
-    max_resident_tiles: Optional[int] = None
     max_resident_bytes: Optional[int] = None
 
     def __post_init__(self):
@@ -153,12 +146,6 @@ class TerrainSpec:
             raise ValueError(
                 "mutable terrains serve through an in-memory overlay; "
                 "max_resident_bytes applies to static registrations")
-        if (self.max_resident_bytes is not None
-                and self.max_resident_tiles is not None):
-            raise ValueError(
-                "max_resident_tiles pages tiled stores, "
-                "max_resident_bytes pages monolithic ones — a store "
-                "is one or the other")
 
 
 @dataclass
@@ -218,9 +205,7 @@ class _Registration:
     track_generation: bool = False
     #: never evict this terrain once resident
     pin: bool = False
-    #: tiled stores: residency bound passed through to the tile LRU
-    max_resident_tiles: Optional[int] = None
-    #: monolithic stores: page-pool byte budget for the paged backend
+    #: page-pool byte budget (``None``: whole-section mmaps)
     max_resident_bytes: Optional[int] = None
 
     @property
@@ -283,7 +268,7 @@ class OracleService:
     Example
     -------
     >>> service = OracleService(max_resident=2)
-    >>> service.register("alps", "alps.store")     # doctest: +SKIP
+    >>> service.register("alps", TerrainSpec("alps.store"))  # doctest: +SKIP
     >>> service.query_batch("alps", [0, 3], [7, 9])  # doctest: +SKIP
     """
 
@@ -300,9 +285,7 @@ class OracleService:
     # ------------------------------------------------------------------
     @_locked
     def register(self, terrain_id: str,
-                 spec: Union[TerrainSpec, str, os.PathLike],
-                 track_generation: Optional[bool] = None
-                 ) -> Dict[str, Any]:
+                 spec: TerrainSpec) -> Dict[str, Any]:
         """Register a terrain from a :class:`TerrainSpec`; returns its
         store meta.
 
@@ -319,33 +302,16 @@ class OracleService:
         when a writer has published a new generation (counted as a
         ``refresh``).  This is the reader half of the multi-worker
         single-writer story.
-
-        .. deprecated:: PR 7
-            ``register(terrain_id, path, track_generation=...)`` with
-            a bare path still works but warns; it will be removed in
-            the next API-cleanup PR.
         """
         if not isinstance(spec, TerrainSpec):
-            warnings.warn(
-                "register(terrain_id, path, track_generation=...) is "
-                "deprecated; pass register(terrain_id, "
-                "TerrainSpec(path, ...)) — the path form will be "
-                "removed in the next API-cleanup PR",
-                DeprecationWarning, stacklevel=2)
-            spec = TerrainSpec(path=os.fspath(spec),
-                               track_generation=bool(track_generation))
-        elif track_generation is not None:
             raise TypeError(
-                "track_generation rides inside TerrainSpec; do not "
-                "pass it alongside a spec")
+                f"register takes a TerrainSpec, not "
+                f"{type(spec).__name__}; wrap the path as "
+                "TerrainSpec(path, ...)")
         self._refuse_dirty_replacement(terrain_id)
         if spec.mutable:
             return self._register_mutable(terrain_id, spec)
         meta = read_store_meta(spec.path)
-        if spec.max_resident_bytes is not None and "tiles" in meta:
-            raise ValueError(
-                f"{spec.path}: tiled stores page at tile granularity; "
-                "use max_resident_tiles instead of max_resident_bytes")
         previous = self._registry.get(terrain_id)
         if terrain_id in self._resident:
             del self._resident[terrain_id]
@@ -356,7 +322,6 @@ class OracleService:
         registration = _Registration(
             path=spec.path, meta=meta,
             track_generation=spec.track_generation, pin=spec.pin,
-            max_resident_tiles=spec.max_resident_tiles,
             max_resident_bytes=spec.max_resident_bytes)
         if previous is not None:
             registration.counters = previous.counters
@@ -395,26 +360,6 @@ class OracleService:
         self._registry[terrain_id] = registration
         return registration.meta
 
-    def register_mutable(self, terrain_id: str, path: str,
-                         engine: GeodesicEngine,
-                         rebuild_factor: float = 0.25,
-                         jobs: int = 1) -> Dict[str, Any]:
-        """Deprecated shim for the pre-:class:`TerrainSpec` signature.
-
-        .. deprecated:: PR 7
-            Use ``register(terrain_id, TerrainSpec(path, mutable=True,
-            engine=engine, ...))``; this shim will be removed in the
-            next API-cleanup PR.
-        """
-        warnings.warn(
-            "register_mutable is deprecated; use register(terrain_id, "
-            "TerrainSpec(path, mutable=True, engine=engine, ...)) — "
-            "removal planned for the next API-cleanup PR",
-            DeprecationWarning, stacklevel=2)
-        return self.register(terrain_id, TerrainSpec(
-            path=os.fspath(path), mutable=True, engine=engine,
-            rebuild_factor=rebuild_factor, jobs=jobs))
-
     def _refuse_dirty_replacement(self, terrain_id: str) -> None:
         """Re-registration must not silently drop unflushed updates."""
         previous = self._registry.get(terrain_id)
@@ -450,11 +395,9 @@ class OracleService:
             meta["dirty"] = registration.dirty
         else:
             meta["resident"] = terrain_id in self._resident
-            stored = self._resident.get(terrain_id)
-            if stored is not None and hasattr(stored, "tile_counters"):
-                meta["tile_paging"] = stored.tile_counters()
-            if stored is not None and hasattr(stored, "page_counters"):
-                meta["paging"] = stored.page_counters()
+            paging = page_ledger(self._resident.get(terrain_id))
+            if paging is not None:
+                meta["paging"] = paging
         return meta
 
     def _registration(self, terrain_id: str) -> _Registration:
@@ -497,7 +440,6 @@ class OracleService:
             return stored
         stored = open_oracle(
             registration.path,
-            max_resident_tiles=registration.max_resident_tiles,
             max_resident_bytes=registration.max_resident_bytes)
         registration.counters.loads += 1
         registration.counters.load_seconds += stored.load_seconds
@@ -632,7 +574,7 @@ class OracleService:
         if not registration.mutable:
             raise ValueError(
                 f"terrain {terrain_id!r} is not mutable; register it "
-                "with register_mutable to accept updates"
+                "with TerrainSpec(mutable=True) to accept updates"
             )
         return registration
 
@@ -812,13 +754,10 @@ class OracleService:
                 stored = self._resident.get(terrain_id)
                 if stored is not None:
                     entry["num_pois"] = stored.num_pois
-                    if hasattr(stored, "tile_counters"):
-                        # Tiled terrain: the tile-granular ledger the
-                        # oracle's internal LRU keeps.
-                        entry["tiles"] = stored.tile_counters()
-                    if hasattr(stored, "page_counters"):
-                        # Paged terrain: the page-pool ledger
-                        # (loads/evictions/hits, resident/peak bytes).
-                        entry["paging"] = stored.page_counters()
+                paging = page_ledger(stored)
+                if paging is not None:
+                    # Paged terrain: the page-pool ledger
+                    # (loads/evictions/hits, resident/peak bytes).
+                    entry["paging"] = paging
             report[terrain_id] = entry
         return report

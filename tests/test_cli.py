@@ -620,6 +620,32 @@ class TestAnalyzeVerb:
         assert "paging:" in output
         assert "B budget" in output
 
+    def test_query_tiled_store_paged_prints_ledger(self, terrain_file,
+                                                   tmp_path, capsys):
+        """A byte budget pages a tiled store too: same answers as the
+        unbounded store, plus the one-line paging ledger."""
+        store = tmp_path / "tiled.store"
+        assert main(["build", str(terrain_file), "--pois", "10",
+                     "--epsilon", "0.2", "--tiles", "2",
+                     "--out", str(store)]) == 0
+        argv = ["query", str(terrain_file), str(store), "--pois", "10",
+                "--store", "--batch", "--random", "50"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        unbounded = capsys.readouterr().out
+        assert main(argv + ["--max-resident-bytes", "4096"]) == 0
+        paged = capsys.readouterr().out
+        assert "paging:" not in unbounded
+        assert "(paged," in paged
+        assert "paging:" in paged and "B budget" in paged
+
+        def answers(output):
+            return [line for line in output.splitlines()
+                    if line.startswith("d(")]
+
+        assert answers(paged) == answers(unbounded)
+        assert len(answers(paged)) == 20
+
     def test_max_resident_bytes_requires_store(self, terrain_file,
                                                tmp_path, capsys):
         code = main(["query", str(terrain_file), "whatever.store",

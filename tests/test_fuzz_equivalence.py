@@ -153,15 +153,18 @@ class TestStoreRoundTripProperty:
 
 
 class TestPagedEquivalenceProperty:
-    """Page-pool equivalence over random draws (PR-10 tentpole).
+    """Page-pool equivalence over random draws.
 
-    Every seeded workload is packed and re-served through
-    :class:`~repro.core.paged.PagedOracle` at three pool bounds — a
-    single page, ~25% of the paged columns, everything resident — and
-    the full query grid (batch + matrix + sampled scalars) must be
-    **bit-identical** to the in-memory oracle at each bound.  Paging
-    changes where bytes come from, never which element a probe reads,
-    so there is no tolerance to hide behind.
+    Every seeded workload is packed and re-served through the page
+    pool at three bounds — a single page, ~25% of the paged columns,
+    everything resident — and the full query grid (batch + matrix +
+    sampled scalars) must be **bit-identical** to the unpaged answers
+    at each bound: a monolithic store through
+    :class:`~repro.core.paged.PagedOracle` against the in-memory
+    oracle, and a two-tile store (every tile on one shared pool)
+    against the same store opened unbounded.  Paging changes where
+    bytes come from, never which element a probe reads, so there is
+    no tolerance to hide behind.
     """
 
     def _pool_shapes(self, path):
@@ -205,6 +208,52 @@ class TestPagedEquivalenceProperty:
                 == ledger["resident_pages"]
             assert ledger["peak_resident_bytes"] \
                 <= ledger["budget_bytes"]
+            paged.close()
+
+    def _budgets(self, path):
+        """Byte budgets for the same three bounds: the 8-byte minimum
+        (one one-element page), ~25% of the paged columns, and every
+        column's pages at the default page size."""
+        from repro.core.paged import DEFAULT_PAGE_BYTES, PAGED_SECTIONS
+        from repro.core.store import section_layouts
+        _, layouts = section_layouts(path)
+        sizes = [int(np.prod(shape, dtype=np.intp)) * dtype.itemsize
+                 for name, (offset, dtype, shape) in layouts.items()
+                 if name.rsplit("/", 1)[-1] in PAGED_SECTIONS]
+        pages = sum(-(-size // DEFAULT_PAGE_BYTES) for size in sizes)
+        return (8, max(8, sum(sizes) // 4),
+                pages * DEFAULT_PAGE_BYTES)
+
+    def test_tiled_paged_bit_identical_at_every_pool_bound(self, drawn,
+                                                           tmp_path):
+        from repro.core import build_tiled_oracle, pack_tiled
+        engine, oracle = drawn
+        build = build_tiled_oracle(engine.mesh, engine.pois,
+                                   oracle.epsilon, tiles=2,
+                                   strategy=oracle.strategy,
+                                   seed=oracle.seed)
+        path = tmp_path / "fuzz_tiled.store"
+        pack_tiled(build, path)
+        unbounded = open_oracle(path)
+        n = unbounded.num_pois
+        grid = np.arange(n, dtype=np.intp)
+        sources = np.repeat(grid, n)
+        targets = np.tile(grid, n)
+        expected_batch = unbounded.query_batch(sources, targets)
+        expected_matrix = unbounded.query_matrix()
+        for budget in self._budgets(path):
+            paged = open_oracle(path, max_resident_bytes=budget)
+            assert (paged.query_batch(sources, targets)
+                    == expected_batch).all(), budget
+            assert (paged.query_matrix() == expected_matrix).all(), \
+                budget
+            for source in range(0, n, 3):
+                assert paged.query(source, n - 1 - source) \
+                    == unbounded.query(source, n - 1 - source)
+            ledger = paged.page_counters()
+            assert ledger["loads"] - ledger["evictions"] \
+                == ledger["resident_pages"]
+            assert ledger["peak_resident_bytes"] <= budget
             paged.close()
 
 

@@ -176,8 +176,10 @@ class TestOpenDispatchAndErrors:
             paged.query_batch([0], [NUM_POIS + 3])
         paged.close()
 
-    def test_tiled_store_refuses_byte_budget(self, tmp_path):
-        from repro.core import build_tiled_oracle, pack_tiled
+    def test_tiled_store_pages_under_byte_budget(self, tmp_path):
+        """A byte budget on a tiled store pages every tile through one
+        pool, bit-identically to the unbounded tiled store."""
+        from repro.core import TiledOracle, build_tiled_oracle, pack_tiled
         mesh = make_terrain(grid_exponent=3, extent=(100.0, 100.0),
                             relief=15.0, seed=31)
         pois = sample_uniform(mesh, 10, seed=32)
@@ -185,9 +187,21 @@ class TestOpenDispatchAndErrors:
                                    points_per_edge=1)
         path = tmp_path / "tiled.store"
         pack_tiled(build, path)
-        with pytest.raises(ValueError, match="max_resident_tiles"):
-            open_oracle(path, max_resident_bytes=4096)
-        with pytest.raises(ValueError, match="tile"):
+        unbounded = open_oracle(path)
+        paged = open_oracle(path, max_resident_bytes=4096)
+        assert isinstance(paged, TiledOracle)
+        sources, targets = _full_grid(len(pois))
+        assert (paged.query_batch(sources, targets)
+                == unbounded.query_batch(sources, targets)).all()
+        ledger = paged.page_counters()
+        assert ledger["loads"] - ledger["evictions"] \
+            == ledger["resident_pages"]
+        assert ledger["peak_resident_bytes"] <= 4096
+        assert sorted(paged._pool._geometry) == sorted(
+            f"tiles/{tile:04d}/{name}" for tile in range(2)
+            for name in PAGED_SECTIONS)
+        paged.close()
+        with pytest.raises(ValueError, match="tiled"):
             PagedOracle(str(path), max_resident_bytes=4096)
 
 

@@ -10,7 +10,7 @@ from repro.queries import (
     range_query,
     reverse_nearest_neighbors,
 )
-from repro.serving import OracleService
+from repro.serving import OracleService, TerrainSpec
 from repro.terrain import make_terrain, sample_uniform
 
 
@@ -39,7 +39,7 @@ def terrains(tmp_path_factory):
 def service(terrains):
     service = OracleService(max_resident=2)
     for name, (path, _) in terrains.items():
-        service.register(name, str(path))
+        service.register(name, TerrainSpec(str(path)))
     return service
 
 
@@ -47,7 +47,7 @@ class TestRegistry:
     def test_register_returns_meta(self, terrains):
         service = OracleService()
         path, oracle = terrains["alps"]
-        meta = service.register("alps", str(path))
+        meta = service.register("alps", TerrainSpec(str(path)))
         assert meta["epsilon"] == oracle.epsilon
         assert service.terrains() == ["alps"]
 
@@ -74,7 +74,7 @@ class TestRegistry:
     def test_reregister_drops_residency(self, service, terrains):
         service.query("alps", 0, 1)
         assert "alps" in service.resident_terrains()
-        service.register("alps", str(terrains["alps"][0]))
+        service.register("alps", TerrainSpec(str(terrains["alps"][0])))
         assert "alps" not in service.resident_terrains()
         # counters survive re-registration; the dropped residency is
         # accounted as an eviction
@@ -191,8 +191,8 @@ def mutable_setup(tmp_path):
     path = tmp_path / "mutable.store"
     pack_oracle(oracle, path)
     service = OracleService(max_resident=2)
-    service.register_mutable("dunes", str(path), engine,
-                             rebuild_factor=10.0)
+    service.register("dunes", TerrainSpec(
+        str(path), mutable=True, engine=engine, rebuild_factor=10.0))
     return service, engine, oracle, path
 
 
@@ -204,7 +204,8 @@ class TestMutableRegistration:
                                sample_uniform(other_mesh, 12, seed=1),
                                points_per_edge=1)
         with pytest.raises(ValueError):
-            service.register_mutable("wrong", str(path), other)
+            service.register("wrong", TerrainSpec(
+                str(path), mutable=True, engine=other))
 
     def test_pinned_outside_lru(self, mutable_setup):
         service, _, _, _ = mutable_setup
@@ -341,15 +342,16 @@ class TestMutableLifecycle:
 
     def test_reregister_over_dirty_overlay_refused(self, mutable_setup):
         """Unflushed updates must never be dropped silently: both
-        register and register_mutable refuse, flush unblocks."""
+        static and mutable re-registration refuse, flush unblocks."""
         service, engine, _, path = mutable_setup
         service.insert_poi("dunes", 30.0, 30.0)
         with pytest.raises(ValueError, match="unflushed"):
-            service.register("dunes", str(path))
+            service.register("dunes", TerrainSpec(str(path)))
         with pytest.raises(ValueError, match="unflushed"):
-            service.register_mutable("dunes", str(path), engine)
+            service.register("dunes", TerrainSpec(
+                str(path), mutable=True, engine=engine))
         service.flush("dunes")
-        service.register("dunes", str(path))
+        service.register("dunes", TerrainSpec(str(path)))
         assert service.describe("dunes")["mutable"] is False
         with pytest.raises(ValueError, match="not mutable"):
             service.insert_poi("dunes", 10.0, 10.0)

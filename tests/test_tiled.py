@@ -9,13 +9,12 @@ Four concerns, one axis each:
    are disconnected (empty portal set => ``inf``).
 2. **Determinism of the shard layout** — a single-tile build is
    bit-identical to the untiled oracle, packing round-trips
-   bit-identically, and paging with ``max_resident_tiles=1`` answers
-   bit-identically to an all-resident oracle (with a reconciling
-   load/eviction ledger).
-3. **The redesigned registration API** — one ``register(terrain_id,
-   TerrainSpec(...))`` entry point; the bare-path and
-   ``register_mutable`` forms still work but warn; spec validation and
-   pin semantics.
+   bit-identically, and paging every tile through one shared
+   one-page pool answers bit-identically to an all-resident oracle
+   (with a reconciling load/eviction ledger).
+3. **The registration API** — one ``register(terrain_id,
+   TerrainSpec(...))`` entry point (a bare path is a ``TypeError``);
+   spec validation and pin semantics.
 4. **Uniform proximity routing** — knn/range/rnn take any
    :class:`~repro.core.index.DistanceIndex` with no per-family
    arguments; a tiled oracle and a mutable overlay answer through the
@@ -234,44 +233,55 @@ class TestDisconnectedTiles:
         assert [poi for poi, _ in neighbors] == [1]
 
 
+def _assert_ledger_reconciles(ledger):
+    assert ledger["loads"] - ledger["evictions"] \
+        == ledger["resident_pages"]
+    assert ledger["peak_resident_bytes"] <= ledger["budget_bytes"]
+
+
 class TestTilePaging:
     def test_residency_one_bit_identical(self, tiled_store):
+        """Every tile pages through one shared one-page pool (the
+        8-byte minimum budget); the full grid must match the unbounded
+        tiled store bit for bit."""
         full = open_oracle(tiled_store)
-        paged = open_oracle(tiled_store, max_resident_tiles=1)
+        paged = open_oracle(tiled_store, max_resident_bytes=8)
         sources, targets = _all_pairs(full.num_pois)
         expected = full.query_batch(sources, targets)
         assert (paged.query_batch(sources, targets) == expected).all()
-        assert len(paged.resident_tiles()) <= 1
-        counters = paged.tile_counters()
-        assert counters["loads"] - counters["evictions"] == len(
-            counters["resident"])
-        assert full.peak_resident_bytes >= paged.peak_resident_bytes
+        assert (paged.query_matrix() == full.query_matrix()).all()
+        ledger = paged.page_counters()
+        _assert_ledger_reconciles(ledger)
+        assert ledger["max_pages"] == 1
+        assert ledger["evictions"] > 0
+        assert full.page_counters() is None
+        paged.close()
 
     def test_eviction_is_observable(self, tiled_store):
-        oracle = open_oracle(tiled_store, max_resident_tiles=2)
+        oracle = open_oracle(tiled_store, max_resident_bytes=512)
         sources, targets = _all_pairs(oracle.num_pois)
         oracle.query_batch(sources, targets)
-        counters = oracle.tile_counters()
-        assert counters["evictions"] > 0
-        assert len(counters["resident"]) <= 2
-        resident = oracle.resident_tiles()
-        assert oracle.evict_tile(resident[0])
-        assert not oracle.evict_tile(resident[0])
+        ledger = oracle.page_counters()
+        assert ledger["evictions"] > 0
+        assert ledger["budget_bytes"] <= 512
+        assert ledger["fixed_bytes"] > 0
+        _assert_ledger_reconciles(ledger)
+        oracle.close()
 
     def test_bound_must_be_positive(self, tiled_store):
-        with pytest.raises(ValueError):
-            open_oracle(tiled_store, max_resident_tiles=0)
+        with pytest.raises(ValueError, match="max_resident_bytes"):
+            open_oracle(tiled_store, max_resident_bytes=7)
 
 
 class TestServiceTiledTerrains:
     def test_eviction_mid_batch_serial_replay(self, tiled_store):
-        """8 threads drive batches through a tiled terrain whose LRU
-        holds a single tile, forcing evictions inside query_batch
+        """8 threads drive batches through a tiled terrain whose tiles
+        share a one-page pool, forcing evictions inside query_batch
         dispatch; every recorded answer must match a serial replay and
-        the per-tile ledger must reconcile."""
+        the paging ledger must reconcile."""
         service = OracleService()
         service.register("t", TerrainSpec(str(tiled_store),
-                                          max_resident_tiles=1))
+                                          max_resident_bytes=8))
         pairs = sample_pairs(NUM_POIS, 40, seed=7)
         sources = [s for s, _ in pairs]
         targets = [t for _, t in pairs]
@@ -301,13 +311,14 @@ class TestServiceTiledTerrains:
             assert list(replay) == answers
 
         stats = service.stats()["t"]
-        ledger = stats["tiles"]
-        assert ledger["loads"] - ledger["evictions"] == len(
-            ledger["resident"])
-        assert len(ledger["resident"]) <= 1
+        ledger = stats["paging"]
+        _assert_ledger_reconciles(ledger)
+        assert ledger["max_pages"] == 1
+        assert ledger["evictions"] > 0
+        assert "tiles" not in stats
         assert stats["queries"] == 16 * len(pairs)
         meta = service.describe("t")
-        assert meta["tile_paging"]["loads"] >= 1
+        assert meta["paging"]["loads"] >= 1
 
     def test_proximity_verbs_on_tiled_terrain(self, tiled_store):
         service = OracleService()
@@ -323,20 +334,11 @@ class TestServiceTiledTerrains:
 
 
 class TestRegistrationAPI:
-    def test_bare_path_form_warns_and_works(self, mono_store):
+    def test_bare_path_form_raises_type_error(self, mono_store):
         service = OracleService()
-        with pytest.deprecated_call():
-            meta = service.register("m", str(mono_store))
-        assert meta["epsilon"] == EPSILON
-        assert service.query("m", 0, 0) == 0.0
-
-    def test_register_mutable_shim_warns(self, mono_store):
-        mesh, pois = _workload()
-        engine = GeodesicEngine(mesh, pois, points_per_edge=1)
-        service = OracleService()
-        with pytest.deprecated_call():
-            service.register_mutable("m", str(mono_store), engine)
-        assert service.describe("m")["mutable"]
+        with pytest.raises(TypeError, match="TerrainSpec"):
+            service.register("m", str(mono_store))
+        assert service.terrains() == []
 
     def test_spec_form_does_not_warn(self, mono_store):
         service = OracleService()
