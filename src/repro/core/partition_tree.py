@@ -9,11 +9,13 @@ node's radius (*Distance*).
 
 The top-down construction follows the paper's Steps 1-2 exactly,
 including the two point-selection strategies of Implementation
-Detail 1 (*random* and *greedy*, the latter backed by the grid /
-B+-tree / max-heap combination in
-:class:`~repro.datastructures.grid_index.GridDensityIndex`) and the
-two SSAD stopping rules of Implementation Detail 2 (provided by
-:class:`~repro.geodesic.engine.GeodesicEngine`).
+Detail 1 (*random* and *greedy*) and the two SSAD stopping rules of
+Implementation Detail 2 (provided by
+:class:`~repro.geodesic.engine.GeodesicEngine`).  The greedy
+strategy's x-y grid and max-heap of non-empty cells live in the
+private :class:`_DensityGrid`; the paper's per-cell B+-tree only ever
+served the cell's point ids in ascending order, so a cell is a plain
+``set`` that is sorted when a pick is made.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Literal, Optional
+from typing import (Callable, Dict, List, Literal, Optional, Sequence, Set,
+                    Tuple)
 
-from ..datastructures.grid_index import GridDensityIndex
+from ..datastructures.binheap import IndexedMinHeap
 from ..geodesic.engine import GeodesicEngine
 
 __all__ = ["PartitionTreeNode", "PartitionTree", "build_partition_tree"]
@@ -151,6 +154,47 @@ class PartitionTree:
         assert len(self.layers[-1]) == len(self.leaf_of_center)
 
 
+class _DensityGrid:
+    """Uncovered POIs bucketed into an x-y grid, densest cell on top.
+
+    Implementation Detail 1: cells of width ``O(r0 / 2^i)`` for Layer
+    ``i``, and a max-heap of the non-empty cells keyed by how many
+    uncovered POIs they hold (an :class:`IndexedMinHeap` on the negated
+    count).  Among equally dense cells the heap's swap history decides,
+    and that tie order is part of the greedy tree.
+    """
+
+    def __init__(self, points: Sequence[Tuple[float, float]],
+                 cell_width: float, rng: random.Random):
+        self._rng = rng
+        self._cells: Dict[Tuple[int, int], Set[int]] = {}
+        self._cell_of: Dict[int, Tuple[int, int]] = {}
+        self._heap = IndexedMinHeap()
+        for poi, (x, y) in enumerate(points):
+            cell = (math.floor(x / cell_width), math.floor(y / cell_width))
+            members = self._cells.setdefault(cell, set())
+            members.add(poi)
+            self._cell_of[poi] = cell
+            self._heap.push_or_update(cell, -len(members))
+
+    def remove(self, poi: int) -> None:
+        """Drop a covered POI; an emptied cell leaves the heap."""
+        cell = self._cell_of.pop(poi)
+        members = self._cells[cell]
+        members.remove(poi)
+        if members:
+            self._heap.update_key(cell, -len(members))
+        else:
+            del self._cells[cell]
+            self._heap.remove(cell)
+
+    def pick_from_densest(self) -> int:
+        """A random POI of the densest cell (ids in ascending order)."""
+        cell, _ = self._heap.peek()
+        members = sorted(self._cells[cell])
+        return members[self._rng.randrange(len(members))]
+
+
 def _position_priorities(engine: GeodesicEngine, seed: int) -> List[int]:
     """Seeded per-POI selection priorities, keyed by *surface position*.
 
@@ -242,12 +286,9 @@ def build_partition_tree(engine: GeodesicEngine,
         previous_by_center = {nodes[i].center: i for i in previous_layer}
 
         uncovered = set(range(n))
-        grid: Optional[GridDensityIndex] = None
+        grid: Optional[_DensityGrid] = None
         if strategy == "greedy":
-            grid = GridDensityIndex(
-                {i: (float(xy[i, 0]), float(xy[i, 1])) for i in range(n)},
-                cell_width=max(radius, _EPS), rng=rng,
-            )
+            grid = _DensityGrid(xy.tolist(), max(radius, _EPS), rng)
         # Centres of the previous layer are selected first (Step 2(b)(i)),
         # in priority order (the queue is popped from its tail).
         center_queue = [nodes[i].center for i in previous_layer]
@@ -266,7 +307,8 @@ def build_partition_tree(engine: GeodesicEngine,
                        if reached.get(poi, math.inf) <= radius * (1.0 + _EPS)]
             uncovered.difference_update(covered)
             if grid is not None:
-                grid.remove_all(covered)
+                for poi in covered:
+                    grid.remove(poi)
 
             parent_id = _nearest_parent(previous_by_center, reached)
             node_id = len(nodes)
@@ -288,7 +330,7 @@ def build_partition_tree(engine: GeodesicEngine,
 
 
 def _select_point(center_queue: List[int], uncovered: set,
-                  grid: Optional[GridDensityIndex],
+                  grid: Optional[_DensityGrid],
                   priorities: List[int]) -> int:
     """Step 2(b)(i): previous-layer centres first, then the strategy."""
     while center_queue:

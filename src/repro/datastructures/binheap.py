@@ -1,50 +1,46 @@
-"""Indexed binary heaps with decrease-key / increase-key support.
+"""Indexed binary min-heap with key updates in either direction.
 
-The paper's construction algorithm needs two priority queues:
+The greedy point-selection strategy (Implementation Detail 1, Section
+3.2) keeps its non-empty grid cells in this heap, keyed by the negated
+number of uncovered POIs in the cell, and raises a cell's key every
+time one of its points is covered.  (The SSAD searches do not use it:
+they run on ``heapq`` or SciPy, see :mod:`repro.geodesic.dijkstra`.)
 
-* the SSAD (single-source all-destination) shortest-path search uses a
-  *min*-heap keyed by tentative geodesic distance, with ``decrease_key``
-  whenever a shorter path to a settled-candidate is found;
-* the greedy point-selection strategy (Implementation Detail 1, Section
-  3.2) uses a *max*-heap over grid cells keyed by the number of uncovered
-  POIs in the cell, with the key decremented every time a point of the
-  cell is covered.
-
-Both are provided here on top of a single array-backed indexed heap.
-Items may be any hashable objects; each item appears at most once.
+Among equally keyed items the one surfaced by :meth:`IndexedMinHeap.
+peek` depends on the heap's swap history, and the greedy partition
+tree inherits that tie order — so this stays a hand-rolled indexed
+heap rather than ``heapq`` with lazy deletion.  Items may be any
+hashable objects; each item appears at most once.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Hashable, Tuple
 
-__all__ = ["IndexedMinHeap", "IndexedMaxHeap"]
+__all__ = ["IndexedMinHeap"]
 
 
 class IndexedMinHeap:
-    """An array-backed binary min-heap with O(log n) ``decrease_key``.
+    """An array-backed binary min-heap with O(log n) key updates.
 
     The heap maps hashable *items* to float *keys*.  Unlike ``heapq`` it
-    supports changing the key of an item already in the heap, which the
-    SSAD search and the greedy grid both require.
+    supports changing the key of, or removing, an item already in the
+    heap, which the greedy grid requires.
 
     Example
     -------
     >>> heap = IndexedMinHeap()
     >>> heap.push("a", 3.0)
     >>> heap.push("b", 1.0)
-    >>> heap.decrease_key("a", 0.5)
-    >>> heap.pop()
+    >>> heap.update_key("a", 0.5)
+    >>> heap.peek()
     ('a', 0.5)
     """
 
-    def __init__(self, items: Optional[Iterable[Tuple[Hashable, float]]] = None):
+    def __init__(self) -> None:
         self._keys: list[float] = []
         self._items: list[Hashable] = []
         self._pos: dict[Hashable, int] = {}
-        if items is not None:
-            for item, key in items:
-                self.push(item, key)
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -57,10 +53,6 @@ class IndexedMinHeap:
 
     def __contains__(self, item: Hashable) -> bool:
         return item in self._pos
-
-    def __iter__(self) -> Iterator[Hashable]:
-        """Iterate over items in arbitrary (heap) order."""
-        return iter(list(self._items))
 
     def key_of(self, item: Hashable) -> float:
         """Return the current key of ``item``; raises ``KeyError`` if absent."""
@@ -85,15 +77,6 @@ class IndexedMinHeap:
         else:
             self.push(item, key)
 
-    def pop(self) -> Tuple[Hashable, float]:
-        """Remove and return the ``(item, key)`` pair with the minimum key."""
-        if not self._items:
-            raise IndexError("pop from empty heap")
-        top_item = self._items[0]
-        top_key = self._keys[0]
-        self._remove_at(0)
-        return top_item, top_key
-
     def peek(self) -> Tuple[Hashable, float]:
         """Return the minimum ``(item, key)`` pair without removing it."""
         if not self._items:
@@ -106,16 +89,6 @@ class IndexedMinHeap:
         key = self._keys[index]
         self._remove_at(index)
         return key
-
-    def decrease_key(self, item: Hashable, key: float) -> None:
-        """Lower the key of ``item``.  Raises if the new key is larger."""
-        index = self._pos[item]
-        if key > self._keys[index]:
-            raise ValueError(
-                f"decrease_key with larger key: {key} > {self._keys[index]}"
-            )
-        self._keys[index] = key
-        self._sift_up(index)
 
     def update_key(self, item: Hashable, key: float) -> None:
         """Set the key of ``item`` to any value, restoring heap order."""
@@ -184,53 +157,3 @@ class IndexedMinHeap:
             )
         for item, index in self._pos.items():
             assert self._items[index] == item, "position map out of sync"
-
-
-class IndexedMaxHeap:
-    """A max-heap facade over :class:`IndexedMinHeap` (keys negated).
-
-    Used by the greedy selection strategy: cells are prioritised by the
-    number of still-uncovered POIs they contain, and the key shrinks as
-    points get covered (``increase_key`` going down in priority).
-    """
-
-    def __init__(self, items: Optional[Iterable[Tuple[Hashable, float]]] = None):
-        self._heap = IndexedMinHeap()
-        if items is not None:
-            for item, key in items:
-                self.push(item, key)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._heap
-
-    def key_of(self, item: Hashable) -> float:
-        return -self._heap.key_of(item)
-
-    def push(self, item: Hashable, key: float) -> None:
-        self._heap.push(item, -key)
-
-    def push_or_update(self, item: Hashable, key: float) -> None:
-        self._heap.push_or_update(item, -key)
-
-    def pop(self) -> Tuple[Hashable, float]:
-        item, key = self._heap.pop()
-        return item, -key
-
-    def peek(self) -> Tuple[Hashable, float]:
-        item, key = self._heap.peek()
-        return item, -key
-
-    def remove(self, item: Hashable) -> float:
-        return -self._heap.remove(item)
-
-    def update_key(self, item: Hashable, key: float) -> None:
-        self._heap.update_key(item, -key)
-
-    def check_invariants(self) -> None:
-        self._heap.check_invariants()

@@ -37,10 +37,9 @@ dispatches between two implementations:
 
 ``source`` may be a sequence for multi-source searches (the frontier
 starts at distance 0 from every source).  Both kernels accept a
-:class:`~repro.datastructures.csr.CSRGraph`, any object exposing one
-as ``.csr`` (e.g. ``GeodesicGraph``), or the legacy ``(neighbors,
-weights)`` list-of-lists tuple; tuples are frozen into a temporary CSR
-per call, so hot loops should pass a ``CSRGraph``.
+:class:`~repro.datastructures.csr.CSRGraph` or any object exposing one
+as ``.csr`` (e.g. ``GeodesicGraph``); list-of-lists adjacency is
+frozen once with :meth:`~repro.datastructures.csr.CSRGraph.from_lists`.
 """
 
 from __future__ import annotations
@@ -65,24 +64,20 @@ __all__ = [
     "bidirectional_distance",
 ]
 
-Adjacency = Union[
-    CSRGraph,
-    Tuple[List[List[int]], List[List[float]]],
-]
+#: A ``CSRGraph``, or any object exposing one as ``.csr``.
+Adjacency = CSRGraph
 
 
 def _as_csr(graph) -> CSRGraph:
-    """Coerce any accepted adjacency form into a ``CSRGraph``."""
+    """The ``CSRGraph`` behind ``graph`` (itself or its ``.csr``)."""
     if isinstance(graph, CSRGraph):
         return graph
     csr = getattr(graph, "csr", None)
     if isinstance(csr, CSRGraph):
         return csr
-    if isinstance(graph, tuple) and len(graph) == 2:
-        return CSRGraph.from_lists(graph[0], graph[1])
     raise TypeError(
-        "expected a CSRGraph, an object with a .csr attribute, or a "
-        f"(neighbors, weights) tuple; got {type(graph).__name__}"
+        "expected a CSRGraph or an object with a .csr attribute; "
+        f"got {type(graph).__name__}"
     )
 
 
@@ -168,8 +163,7 @@ def dijkstra(graph: Adjacency,
     Parameters
     ----------
     graph:
-        A ``CSRGraph`` (or object exposing ``.csr``, or a legacy
-        ``(neighbors, weights)`` tuple — converted per call).
+        A ``CSRGraph`` or an object exposing one as ``.csr``.
     source:
         Start node, or a sequence of start nodes for a multi-source
         search (every source starts at distance 0).

@@ -1,4 +1,4 @@
-"""Unit and property tests for the indexed binary heaps."""
+"""Unit and property tests for the indexed binary min-heap."""
 
 import random
 
@@ -6,7 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datastructures import IndexedMaxHeap, IndexedMinHeap
+from repro.datastructures import IndexedMinHeap
+
+
+def _pop(heap):
+    item, key = heap.peek()
+    heap.remove(item)
+    return item, key
+
+
+def _heap_of(pairs):
+    heap = IndexedMinHeap()
+    for item, key in pairs:
+        heap.push(item, key)
+    return heap
 
 
 class TestMinHeapBasics:
@@ -14,10 +27,6 @@ class TestMinHeapBasics:
         heap = IndexedMinHeap()
         assert not heap
         assert len(heap) == 0
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            IndexedMinHeap().pop()
 
     def test_peek_empty_raises(self):
         with pytest.raises(IndexError):
@@ -27,21 +36,15 @@ class TestMinHeapBasics:
         heap = IndexedMinHeap()
         heap.push("a", 1.5)
         assert heap.peek() == ("a", 1.5)
-        assert heap.pop() == ("a", 1.5)
+        assert heap.remove("a") == 1.5
         assert not heap
-
-    def test_init_from_iterable(self):
-        heap = IndexedMinHeap([("a", 3.0), ("b", 1.0), ("c", 2.0)])
-        assert heap.pop() == ("b", 1.0)
-        assert heap.pop() == ("c", 2.0)
-        assert heap.pop() == ("a", 3.0)
 
     def test_pop_order_is_sorted(self):
         heap = IndexedMinHeap()
         values = [5.0, 3.0, 8.0, 1.0, 9.0, 2.0, 7.0]
         for i, value in enumerate(values):
             heap.push(i, value)
-        popped = [heap.pop()[1] for _ in range(len(values))]
+        popped = [_pop(heap)[1] for _ in range(len(values))]
         assert popped == sorted(values)
 
     def test_duplicate_push_raises(self):
@@ -65,69 +68,39 @@ class TestMinHeapBasics:
         heap = IndexedMinHeap()
         for i in range(10):
             heap.push(i, 1.0)
-        items = {heap.pop()[0] for _ in range(10)}
+        items = {_pop(heap)[0] for _ in range(10)}
         assert items == set(range(10))
 
 
 class TestMinHeapKeyUpdates:
-    def test_decrease_key_moves_to_front(self):
-        heap = IndexedMinHeap([("a", 5.0), ("b", 2.0)])
-        heap.decrease_key("a", 1.0)
-        assert heap.pop() == ("a", 1.0)
-
-    def test_decrease_key_with_larger_key_raises(self):
-        heap = IndexedMinHeap([("a", 1.0)])
-        with pytest.raises(ValueError):
-            heap.decrease_key("a", 2.0)
+    def test_update_key_decrease_moves_to_front(self):
+        heap = _heap_of([("a", 5.0), ("b", 2.0)])
+        heap.update_key("a", 1.0)
+        assert _pop(heap) == ("a", 1.0)
 
     def test_update_key_increase(self):
-        heap = IndexedMinHeap([("a", 1.0), ("b", 2.0)])
+        heap = _heap_of([("a", 1.0), ("b", 2.0)])
         heap.update_key("a", 3.0)
-        assert heap.pop() == ("b", 2.0)
-        assert heap.pop() == ("a", 3.0)
+        assert _pop(heap) == ("b", 2.0)
+        assert _pop(heap) == ("a", 3.0)
 
     def test_push_or_update_inserts_then_updates(self):
         heap = IndexedMinHeap()
         heap.push_or_update("a", 5.0)
         heap.push_or_update("a", 2.0)
         assert len(heap) == 1
-        assert heap.pop() == ("a", 2.0)
+        assert _pop(heap) == ("a", 2.0)
 
     def test_remove_middle_item(self):
-        heap = IndexedMinHeap([(i, float(i)) for i in range(8)])
+        heap = _heap_of((i, float(i)) for i in range(8))
         key = heap.remove(4)
         assert key == 4.0
-        popped = [heap.pop()[0] for _ in range(len(heap))]
+        popped = [_pop(heap)[0] for _ in range(len(heap))]
         assert popped == [0, 1, 2, 3, 5, 6, 7]
 
     def test_remove_missing_raises(self):
         with pytest.raises(KeyError):
             IndexedMinHeap().remove("nope")
-
-
-class TestMaxHeap:
-    def test_pop_order_is_descending(self):
-        heap = IndexedMaxHeap()
-        values = [5.0, 3.0, 8.0, 1.0]
-        for i, value in enumerate(values):
-            heap.push(i, value)
-        popped = [heap.pop()[1] for _ in range(len(values))]
-        assert popped == sorted(values, reverse=True)
-
-    def test_key_of_is_unnegated(self):
-        heap = IndexedMaxHeap([("a", 7.0)])
-        assert heap.key_of("a") == 7.0
-        assert heap.peek() == ("a", 7.0)
-
-    def test_update_key_reorders(self):
-        heap = IndexedMaxHeap([("a", 1.0), ("b", 5.0)])
-        heap.update_key("a", 9.0)
-        assert heap.pop() == ("a", 9.0)
-
-    def test_remove_returns_original_key(self):
-        heap = IndexedMaxHeap([("a", 3.5)])
-        assert heap.remove("a") == 3.5
-        assert not heap
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,7 +111,7 @@ def test_heapsort_property(values):
     for i, value in enumerate(values):
         heap.push(i, value)
     heap.check_invariants()
-    popped = [heap.pop()[1] for _ in range(len(values))]
+    popped = [_pop(heap)[1] for _ in range(len(values))]
     assert popped == sorted(values)
 
 
@@ -157,7 +130,7 @@ def test_random_operations_match_reference(ops):
             heap.push(item, key)
             reference[item] = key
         elif op == "pop" and reference:
-            popped_item, popped_key = heap.pop()
+            popped_item, popped_key = _pop(heap)
             assert popped_key == min(reference.values())
             assert reference.pop(popped_item) == popped_key
         elif op == "update" and item in reference:
@@ -169,7 +142,7 @@ def test_random_operations_match_reference(ops):
     assert len(heap) == len(reference)
     drained = {}
     while heap:
-        popped_item, popped_key = heap.pop()
+        popped_item, popped_key = _pop(heap)
         drained[popped_item] = popped_key
     assert drained == reference
 
@@ -187,7 +160,7 @@ def test_large_random_stress():
                 heap.push(item, key)
                 reference[item] = key
         elif action < 0.75:
-            popped_item, popped_key = heap.pop()
+            popped_item, popped_key = _pop(heap)
             assert popped_key == pytest.approx(min(reference.values()))
             del reference[popped_item]
         else:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datastructures import CSRGraph
 from repro.geodesic import (
     GeodesicEngine,
     GeodesicGraph,
@@ -153,7 +154,7 @@ class TestDijkstra:
             edge_weights[i].append(w)
             neighbors[i + 1].append(i)
             edge_weights[i + 1].append(w)
-        return neighbors, edge_weights
+        return CSRGraph.from_lists(neighbors, edge_weights)
 
     def test_line_distances(self):
         adjacency = self._line_graph([1.0, 2.0, 3.0])
@@ -186,7 +187,8 @@ class TestDijkstra:
     def test_disconnected_targets_drain(self):
         neighbors = [[1], [0], [3], [2]]
         weights = [[1.0], [1.0], [1.0], [1.0]]
-        result = dijkstra((neighbors, weights), 0, targets=[3])
+        result = dijkstra(CSRGraph.from_lists(neighbors, weights), 0,
+                          targets=[3])
         assert 3 not in result.distances
         assert math.isinf(result.frontier_min)
 
@@ -211,11 +213,18 @@ class TestDijkstra:
     def test_bidirectional_disconnected(self):
         neighbors = [[1], [0], [], []]
         weights = [[1.0], [1.0], [], []]
-        assert math.isinf(bidirectional_distance((neighbors, weights), 0, 3))
+        graph = CSRGraph.from_lists(neighbors, weights)
+        assert math.isinf(bidirectional_distance(graph, 0, 3))
 
     def test_bidirectional_same_node(self):
         adjacency = self._line_graph([1.0])
         assert bidirectional_distance(adjacency, 1, 1) == 0.0
+
+    def test_tuple_adjacency_rejected(self):
+        with pytest.raises(TypeError):
+            dijkstra(([[1], [0]], [[1.0], [1.0]]), 0)
+        with pytest.raises(TypeError):
+            bidirectional_distance(([[1], [0]], [[1.0], [1.0]]), 0, 1)
 
 
 class TestGeodesicAccuracy:
