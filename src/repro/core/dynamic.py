@@ -15,7 +15,7 @@ fast compiled tables.
 * **insert**: the new POI joins a small overlay set.  Its *delta row*
   — exact engine-metric distances to every base POI, plus cache
   entries against the other overlay POIs — is computed by **one**
-  multi-target SSAD on first touch and memoised, so an insert itself
+  full-component SSAD on first touch and memoised, so an insert itself
   is O(1) graph surgery and queries never trigger a full recompile;
 * **delete**: the POI is tombstoned in an alive mask; querying it
   raises ``KeyError``;
@@ -543,12 +543,12 @@ class DynamicSEOracle:
     def _ensure_delta_row(self, poi_id: int) -> np.ndarray:
         """The overlay POI's exact distance row over base slots.
 
-        Computed by one multi-target SSAD from the overlay node
-        covering every base POI node, then memoised.  Both the scalar
-        and the batched query path read this same row, which is what
-        makes them bit-identical — and since the search always runs
-        *from* the overlay node, the value of a pair never depends on
-        query history or argument order.
+        Computed by one full-component SSAD from the overlay node
+        (SciPy runs it on the static + overlay matrix), then memoised.
+        Both the scalar and the batched query path read this same row,
+        which is what makes them bit-identical — and since the search
+        always runs *from* the overlay node, the value of a pair never
+        depends on query history or argument order.
         """
         row = self._delta_rows.get(poi_id)
         if row is not None:
@@ -558,7 +558,7 @@ class DynamicSEOracle:
             for slot in range(len(self._base_index))
         ]
         result = self._engine.distances_from_node(
-            self._overlay_nodes[poi_id], targets=base_nodes
+            self._overlay_nodes[poi_id]
         )
         distances = result.distances
         row = np.array(

@@ -21,12 +21,22 @@ bottom-up through the layers.
 Enhanced edges are keyed by ``(layer, centre_a, centre_b)`` — exactly
 the identity of a same-layer node pair in ``T_org``, since a node of
 ``T_org`` is determined by its layer and centre.
+
+Both stages run on arrays rather than per element: each layer's SSAD
+rows are flattened and reduced by mask, the generator keeps its
+frontier as two node-id arrays, and the Lemma 4 walk resolves a whole
+frontier with one batched hash probe per layer.  The output — edge
+set, pair set, insertion order and distances — is that of the
+element-wise formulation the paper states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..datastructures.perfect_hash import PerfectHashMap
 from ..geodesic.engine import GeodesicEngine
@@ -38,18 +48,15 @@ __all__ = [
     "EnhancedEdgeIndex",
     "build_enhanced_edges",
     "NodePairSet",
-    "generate_node_pairs",
     "generate_node_pairs_batched",
     "well_separated_threshold",
 ]
 
-DistanceProvider = Callable[[int, int], float]
-
 #: Batched centre-distance provider: one call answers a whole round of
-#: pair candidates (``[(center_a, center_b), ...] -> [distance, ...]``),
-#: which is what lets the naive construction fan its SSADs out across
-#: a build executor.
-BatchDistanceProvider = Callable[[Sequence[Tuple[int, int]]], List[float]]
+#: pair candidates (``(centres_a, centres_b) -> distances``, aligned
+#: arrays), which is what lets the naive construction fan its SSADs
+#: out across a build executor.
+BatchDistanceProvider = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _EPS = 1e-9
 
@@ -78,38 +85,41 @@ class EnhancedEdgeIndex:
     def __init__(self, table: PerfectHashMap, tree: PartitionTree,
                  num_pois: int, edge_count: int):
         self._table = table
-        self._tree = tree
         self._n = num_pois
+        self._height = tree.height
+        self._first_layer = np.array(
+            [tree.first_layer_of_center[poi]
+             for poi in range(num_pois)], dtype=np.int64)
         self.edge_count = edge_count
-        self.lookup_failures = 0
 
-    def _key(self, layer: int, center_a: int, center_b: int) -> int:
-        if center_a > center_b:
-            center_a, center_b = center_b, center_a
-        return (layer * self._n + center_a) * self._n + center_b
+    def pair_distances(self, centers_a: np.ndarray,
+                       centers_b: np.ndarray) -> np.ndarray:
+        """Centre distances via the deepest enhanced edge on both chains.
 
-    def edge_distance(self, layer: int, center_a: int,
-                      center_b: int) -> Optional[float]:
-        """Distance of the enhanced edge at ``layer``, if present."""
-        return self._table.get(self._key(layer, center_a, center_b))
-
-    def pair_distance(self, center_a: int, center_b: int) -> Optional[float]:
-        """Centre distance via the deepest enhanced edge on both chains.
-
-        Walks layers bottom-up (Step 4's traversal).  A key only exists
-        at layers where *both* centres already head their own node, so
-        the first hit is guaranteed to connect nodes centred exactly at
-        ``center_a`` / ``center_b`` (see Lemma 4 discussion).
+        Walks layers bottom-up (Step 4's traversal) with one
+        ``get_batch`` per layer over the pairs still unresolved.  A key
+        only exists at layers where *both* centres already head their
+        own node, so the first hit connects nodes centred exactly at
+        the two centres (see Lemma 4 discussion).  Equal centres read
+        0; a pair with no edge on its chains reads ``nan``.
         """
-        if center_a == center_b:
-            return 0.0
-        start = max(self._tree.first_layer_of_center[center_a],
-                    self._tree.first_layer_of_center[center_b])
-        for layer in range(self._tree.height, start - 1, -1):
-            distance = self.edge_distance(layer, center_a, center_b)
-            if distance is not None:
-                return distance
-        return None
+        low = np.minimum(centers_a, centers_b).astype(np.int64)
+        high = np.maximum(centers_a, centers_b).astype(np.int64)
+        result = np.full(low.shape, np.nan)
+        result[low == high] = 0.0
+        pending = np.flatnonzero(low != high)
+        start = np.maximum(self._first_layer[low], self._first_layer[high])
+        n = self._n
+        for layer in range(self._height, -1, -1):
+            pending = pending[start[pending] <= layer]
+            if not pending.size:
+                break
+            keys = (layer * n + low[pending]) * n + high[pending]
+            found = self._table.get_batch(keys)
+            hit = ~np.isnan(found)
+            result[pending[hit]] = found[hit]
+            pending = pending[~hit]
+        return result
 
     def size_bytes(self) -> int:
         return self._table.size_bytes(value_bytes=8)
@@ -128,40 +138,55 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
 
     This is the fan-out stage of the build pipeline: each layer is one
     SSAD batch handed to ``executor`` (default: a
-    :class:`~repro.core.parallel.SerialExecutor` on the live engine),
-    and the per-node results are reduced in layer/node order — the
-    entry insertion order, and hence the index, is identical whichever
-    executor ran the batch.
+    :class:`~repro.core.parallel.SerialExecutor` on the live engine).
+    Each layer's rows are flattened into arrays and filtered by mask
+    (same-layer centre, within the bound, not the source); an edge
+    reached from both ends keeps the distance seen first in layer/node
+    order, so the index is identical whichever executor ran the batch.
     """
     if executor is None:
         executor = SerialExecutor()
         executor.bind(engine)
     factor = enhanced_edge_factor(epsilon)
-    entries: Dict[int, float] = {}
     n = engine.num_pois
+    layer_keys: List[np.ndarray] = []
+    layer_distances: List[np.ndarray] = []
     for layer_number, layer in enumerate(tree.layers):
         nodes = [tree.node(node_id) for node_id in layer]
-        centers_in_layer = {node.center for node in nodes}
-        bounds = [factor * node.radius * (1.0 + _EPS) for node in nodes]
-        radii = [None] * len(nodes) if layer_number == 0 else bounds
+        centers = np.array([node.center for node in nodes], dtype=np.int64)
+        bounds = np.array([factor * node.radius * (1.0 + _EPS)
+                           for node in nodes])
+        radii = [None] * len(nodes) if layer_number == 0 else bounds.tolist()
         reached_per_node = executor.map_ssad(
-            list(zip((node.center for node in nodes), radii)))
+            list(zip(centers.tolist(), radii)))
         if len(reached_per_node) != len(nodes):
             raise ValueError("executor returned a misaligned batch")
-        for node, bound, reached in zip(nodes, bounds, reached_per_node):
-            for other_center, distance in reached.items():
-                if other_center == node.center:
-                    continue
-                if other_center not in centers_in_layer:
-                    continue
-                if distance > bound:
-                    continue
-                a, b = sorted((node.center, other_center))
-                key = (layer_number * n + a) * n + b
-                entries.setdefault(key, distance)
+        sizes = np.array([len(reached) for reached in reached_per_node],
+                         dtype=np.int64)
+        total = int(sizes.sum())
+        others = np.fromiter(chain.from_iterable(reached_per_node),
+                             dtype=np.int64, count=total)
+        distances = np.fromiter(
+            chain.from_iterable(reached.values()
+                                for reached in reached_per_node),
+            dtype=np.float64, count=total)
+        source = np.repeat(centers, sizes)
+        in_layer = np.zeros(n, dtype=bool)
+        in_layer[centers] = True
+        keep = (in_layer[others] & (others != source)
+                & (distances <= np.repeat(bounds, sizes)))
+        low = np.minimum(source[keep], others[keep])
+        high = np.maximum(source[keep], others[keep])
+        layer_keys.append((layer_number * n + low) * n + high)
+        layer_distances.append(distances[keep])
 
-    table = PerfectHashMap(list(entries.items()), seed=seed)
-    return EnhancedEdgeIndex(table, tree, n, edge_count=len(entries))
+    keys = np.concatenate(layer_keys)
+    distances = np.concatenate(layer_distances)
+    _, first = np.unique(keys, return_index=True)
+    first.sort()  # first-seen order, as a dict's setdefault keeps it
+    table = PerfectHashMap(zip(keys[first].tolist(),
+                               distances[first].tolist()), seed=seed)
+    return EnhancedEdgeIndex(table, tree, n, edge_count=int(first.size))
 
 
 @dataclass
@@ -184,79 +209,74 @@ class NodePairSet:
         return self.pairs.get((node_a, node_b))
 
 
-def generate_node_pairs(tree: CompressedPartitionTree,
-                        epsilon: float,
-                        distance_provider: DistanceProvider) -> NodePairSet:
-    """Generate the node pair set (the Section 3.3 procedure).
-
-    Starting from ``(root, root)``, repeatedly split the node with the
-    larger radius (ties: smaller node id) of any non-well-separated
-    pair, until all pairs are well-separated.
-
-    ``distance_provider(center_a, center_b)`` supplies geodesic centre
-    distances: the enhanced-edge index for the efficient construction,
-    or per-pair SSAD for the naive one.  This is a convenience wrapper
-    over :func:`generate_node_pairs_batched` for callers with a
-    point-wise provider.
-    """
-    def batch(center_pairs: Sequence[Tuple[int, int]]) -> List[float]:
-        return [distance_provider(a, b) for a, b in center_pairs]
-
-    return generate_node_pairs_batched(tree, epsilon, batch)
-
-
 def generate_node_pairs_batched(tree: CompressedPartitionTree,
                                 epsilon: float,
                                 batch_provider: BatchDistanceProvider
                                 ) -> NodePairSet:
-    """The Section 3.3 generator, wavefront-staged for bulk providers.
+    """The Section 3.3 generator, wavefront-staged on id arrays.
 
-    Pairs are expanded in rounds: every pair of the current frontier
-    needs its centre distance before the split test can run, so each
-    round issues *one* batched distance request covering the whole
-    frontier, then splits in frontier order.  Whether a pair is split
-    depends only on its own distance, so the generated pair set — and
-    the ``considered`` count — are exactly those of the depth-first
-    reference formulation, independent of round structure or of how a
-    build executor chunks the batch.
+    Starting from ``(root, root)``, repeatedly split the node with the
+    larger radius (ties: smaller node id) of any non-well-separated
+    pair, until all pairs are well-separated.  Pairs are expanded in
+    rounds: each round asks ``batch_provider`` for the centre
+    distances of the whole frontier at once, tests separation on
+    arrays, and expands the split nodes' children with ``np.repeat``
+    over a children CSR, in frontier order.  Whether a pair is split
+    depends only on its own distance, so the generated pair set — its
+    insertion order included — and the ``considered`` count are
+    exactly those of the depth-first reference formulation,
+    independent of round structure or of how a build executor chunks
+    the batch.
     """
     threshold = well_separated_threshold(epsilon)
-    root = tree.root_id
+    nodes = tree.nodes
+    center = np.array([node.center for node in nodes], dtype=np.int64)
+    radius = np.array([node.radius for node in nodes], dtype=np.float64)
+    enlarged = np.array([node.enlarged_radius for node in nodes],
+                        dtype=np.float64)
+    child_count = np.array([len(node.children) for node in nodes],
+                           dtype=np.int64)
+    child_start = np.concatenate([[0], np.cumsum(child_count)[:-1]])
+    children = np.fromiter(
+        chain.from_iterable(node.children for node in nodes),
+        dtype=np.int64, count=int(child_count.sum()))
+
     pairs: Dict[Tuple[int, int], float] = {}
     considered = 0
-    frontier: List[Tuple[int, int]] = [(root, root)]
-
-    while frontier:
-        distances = batch_provider(
-            [(tree.node(a).center, tree.node(b).center)
-             for a, b in frontier])
-        if len(distances) != len(frontier):
+    first = np.array([tree.root_id], dtype=np.int64)
+    second = first.copy()
+    while first.size:
+        distances = np.asarray(batch_provider(center[first], center[second]),
+                               dtype=np.float64)
+        if distances.shape != first.shape:
             raise ValueError("batch provider returned a misaligned batch")
-        next_frontier: List[Tuple[int, int]] = []
-        for pair, distance in zip(frontier, distances):
-            considered += 1
-            node_a = tree.node(pair[0])
-            node_b = tree.node(pair[1])
-            larger = max(node_a.enlarged_radius, node_b.enlarged_radius)
-            if distance >= threshold * larger * (1.0 - _EPS):
-                # Well-separated (leaf self-pairs land here with 0 >= 0).
-                pairs[pair] = distance
-                continue
-            # Split the node with the larger radius; ties -> smaller id.
-            if (node_a.radius, -node_a.node_id) \
-                    >= (node_b.radius, -node_b.node_id):
-                split, split_first = node_a, True
-            else:
-                split, split_first = node_b, False
-            if split.is_leaf:
-                # Both leaves and not separated: only possible for
-                # identical centres, which dedup rules out; guard anyway.
-                raise RuntimeError(
-                    f"cannot split leaf pair {pair}; duplicate POIs present?"
-                )
-            for child in split.children:
-                next_frontier.append(
-                    (child, pair[1]) if split_first else (pair[0], child))
-        frontier = next_frontier
+        considered += int(first.size)
+        larger = np.maximum(enlarged[first], enlarged[second])
+        # Well-separated (leaf self-pairs land here with 0 >= 0).
+        separated = distances >= threshold * larger * (1.0 - _EPS)
+        pairs.update(zip(zip(first[separated].tolist(),
+                             second[separated].tolist()),
+                         distances[separated].tolist()))
+        first = first[~separated]
+        second = second[~separated]
+        # Split the node with the larger radius; ties -> smaller id.
+        split_first = (radius[first] > radius[second]) | (
+            (radius[first] == radius[second]) & (first <= second))
+        split = np.where(split_first, first, second)
+        if (child_count[split] == 0).any():
+            # Both leaves and not separated: only possible for
+            # identical centres, which dedup rules out; guard anyway.
+            position = int(np.flatnonzero(child_count[split] == 0)[0])
+            raise RuntimeError(
+                f"cannot split leaf pair ({first[position]}, "
+                f"{second[position]}); duplicate POIs present?")
+        counts = child_count[split]
+        owner = np.repeat(np.arange(split.size), counts)
+        rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+        child = children[child_start[split][owner] + rank]
+        keep_first = split_first[owner]
+        first, second = (np.where(keep_first, child, first[owner]),
+                         np.where(keep_first, second[owner], child))
 
     return NodePairSet(pairs=pairs, considered=considered, epsilon=epsilon)

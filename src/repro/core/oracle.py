@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, List, Literal, Optional, Tuple
+
+import numpy as np
 
 from ..datastructures.perfect_hash import PerfectHashMap, pack_pair
 from ..geodesic.engine import GeodesicEngine
@@ -199,36 +201,33 @@ class SEOracle:
                 self.stats.enhanced_seconds = time.perf_counter() - tick
                 self._enhanced = enhanced
 
-                def batch_provider(center_pairs: Sequence[Tuple[int, int]]
-                                   ) -> List[float]:
+                def batch_provider(centers_a: np.ndarray,
+                                   centers_b: np.ndarray) -> np.ndarray:
                     nonlocal fallbacks
-                    distances = []
-                    misses = []
-                    for position, (a, b) in enumerate(center_pairs):
-                        distance = enhanced.pair_distance(a, b)
-                        if distance is None:
-                            # Lemma 4 says this cannot happen; recover
-                            # with an SSAD rather than fail, and
-                            # surface it in stats.
-                            fallbacks += 1
-                            misses.append(position)
-                        distances.append(distance)
-                    if misses:
+                    distances = enhanced.pair_distances(centers_a, centers_b)
+                    misses = np.flatnonzero(np.isnan(distances))
+                    if misses.size:
+                        # Lemma 4 says this cannot happen; recover with
+                        # an SSAD rather than fail, and surface it in
+                        # stats.
+                        fallbacks += int(misses.size)
                         recovered = executor.map_pair_distances(
-                            [center_pairs[i] for i in misses])
-                        if len(recovered) != len(misses):
+                            list(zip(centers_a[misses].tolist(),
+                                     centers_b[misses].tolist())))
+                        if len(recovered) != misses.size:
                             raise ValueError(
                                 "executor returned a misaligned batch")
-                        for position, distance in zip(misses, recovered):
-                            distances[position] = distance
+                        distances[misses] = recovered
                     return distances
             else:
                 cache: Dict[Tuple[int, int], float] = {}
 
-                def batch_provider(center_pairs: Sequence[Tuple[int, int]]
-                                   ) -> List[float]:
+                def batch_provider(centers_a: np.ndarray,
+                                   centers_b: np.ndarray) -> np.ndarray:
                     # One executor round per wavefront: compute every
                     # distinct uncached centre pair, first-seen order.
+                    center_pairs = list(zip(centers_a.tolist(),
+                                            centers_b.tolist()))
                     need: List[Tuple[int, int]] = []
                     for a, b in center_pairs:
                         if a == b:
@@ -244,9 +243,10 @@ class SEOracle:
                                 "executor returned a misaligned batch")
                         for key, distance in zip(need, computed):
                             cache[key] = distance
-                    return [0.0 if a == b
-                            else cache[(a, b) if a < b else (b, a)]
-                            for a, b in center_pairs]
+                    return np.array([0.0 if a == b
+                                     else cache[(a, b) if a < b else (b, a)]
+                                     for a, b in center_pairs],
+                                    dtype=np.float64)
 
             # ----------------------------------------------------------
             # Stage 3: reduce — pair generation + perfect hashing.

@@ -16,9 +16,10 @@ this repository runs on.  It has two sections:
 
 The NumPy arrays are the canonical storage: the SciPy-backed fast path
 of the Dijkstra kernel hands them to ``scipy.sparse.csgraph`` wholesale
-(see :meth:`scipy_matrix`), and the exact ``frontier_min``
-reconstruction gathers over them vectorised.  The *pure-Python* kernel
-(targets / single-target / parents modes, or overlay present) instead
+(see :meth:`scipy_matrix`, which appends the overlay when there is
+one), and the exact ``frontier_min`` reconstruction gathers over the
+searched matrix vectorised.  The *pure-Python* kernel (targets /
+single-target / parents modes, or no SciPy) instead
 iterates prebuilt per-node ``(neighbor, weight)`` tuple rows — CPython
 pays ~5x for boxed elementwise NumPy access, so the hot loop reads
 :meth:`kernel_view`'s list form.  Both views are frozen from the same
@@ -107,7 +108,11 @@ class CSRGraph:
         # Static node -> edges into the overlay.
         self._extra: Dict[int, Row] = {}
         self._scratch_pool: List[DijkstraScratch] = []
-        self._scipy_matrix = None
+        # SciPy matrices: the static section (kept for the graph's
+        # lifetime) and static + overlay (dropped on every overlay
+        # mutation).
+        self._static_matrix = None
+        self._overlay_matrix = None
 
     # ------------------------------------------------------------------
     # construction
@@ -165,6 +170,7 @@ class CSRGraph:
         """Append an overlay node with the given (undirected) edges."""
         node = self.num_nodes
         row: Row = [(int(v), float(w)) for v, w in zip(neighbors, weights)]
+        self._overlay_matrix = None
         static_n = self.num_static
         self._ov_rows.append(row)
         for other, weight in row:
@@ -181,6 +187,7 @@ class CSRGraph:
         node = self.num_nodes - 1
         static_n = self.num_static
         row = self._ov_rows.pop()
+        self._overlay_matrix = None
         for other, _ in row:
             if other < static_n:
                 back = self._extra[other]
@@ -228,25 +235,61 @@ class CSRGraph:
                 self._extra)
 
     def scipy_matrix(self):
-        """The static section as a cached ``scipy.sparse.csr_matrix``.
+        """The whole graph as a cached ``scipy.sparse.csr_matrix``.
 
-        Returns ``None`` when SciPy is unavailable or the overlay is
-        non-empty (the matrix would miss its nodes).  Explicit
-        zero-weight entries survive the ``(data, indices, indptr)``
-        construction and ``csgraph.dijkstra`` honours them as
-        zero-length edges (pinned by an equivalence test).
+        Returns ``None`` when SciPy is unavailable.  With an empty
+        overlay this is the static section, built once.  Otherwise
+        each static row is followed by its overlay back-edges and the
+        overlay rows come last; that matrix is cached until the next
+        :meth:`attach_node` / :meth:`detach_last`.  The
+        ``(data, indices, indptr)`` construction keeps every entry as
+        given — explicit zero weights survive (``csgraph.dijkstra``
+        honours them as zero-length edges, pinned by an equivalence
+        test) and nothing is summed.
         """
-        if self._ov_rows:
+        try:
+            from scipy.sparse import csr_matrix
+        except ImportError:  # pragma: no cover - scipy is optional
             return None
-        if self._scipy_matrix is None:
-            try:
-                from scipy.sparse import csr_matrix
-            except ImportError:  # pragma: no cover - scipy is optional
-                return None
-            n = self.num_static
-            self._scipy_matrix = csr_matrix(
-                (self.weights, self.indices, self.indptr), shape=(n, n))
-        return self._scipy_matrix
+        if not self._ov_rows:
+            if self._static_matrix is None:
+                n = self.num_static
+                self._static_matrix = csr_matrix(
+                    (self.weights, self.indices, self.indptr), shape=(n, n))
+            return self._static_matrix
+        if self._overlay_matrix is None:
+            self._overlay_matrix = csr_matrix(self._overlay_arrays(),
+                                              shape=(self.num_nodes,) * 2)
+        return self._overlay_matrix
+
+    def _overlay_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)`` of the static + overlay graph."""
+        static_n = self.num_static
+        counts = np.diff(self.indptr)
+        extra_counts = np.zeros(static_n, dtype=np.int64)
+        for node, row in self._extra.items():
+            extra_counts[node] = len(row)
+        overlay_counts = [len(row) for row in self._ov_rows]
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([counts + extra_counts, overlay_counts]),
+                  out=indptr[1:])
+        total = int(indptr[-1])
+        indices = np.empty(total, dtype=np.int32)
+        data = np.empty(total, dtype=np.float64)
+        # Static entries keep their order at the head of each row.
+        shift = np.repeat(indptr[:static_n] - self.indptr[:-1], counts)
+        positions = shift + np.arange(len(self.indices), dtype=np.int64)
+        indices[positions] = self.indices
+        data[positions] = self.weights
+        tails = [(int(indptr[node] + counts[node]), row)
+                 for node, row in self._extra.items()]
+        tails += [(int(indptr[static_n + k]), row)
+                  for k, row in enumerate(self._ov_rows)]
+        for start, row in tails:
+            for offset, (neighbor, weight) in enumerate(row):
+                indices[start + offset] = neighbor
+                data[start + offset] = weight
+        return data, indices, indptr
 
     # ------------------------------------------------------------------
     # scratch pool

@@ -19,11 +19,20 @@ key.
 Construction is randomized but deterministic given ``seed``; the
 expected total secondary-table size is < 2n (Σ b_i² concentration), so
 we retry level one if an unlucky draw exceeds 4n.
+
+Both table forms are built lazily.  The scalar FKS structures are
+drawn on the first scalar access (``get`` / ``in`` / iteration /
+:meth:`PerfectHashMap.slot_count`), and the frozen batch tables (see
+below) on the first batch probe or persistence call.  An oracle build
+that only probes and packs the frozen tables never pays for the
+scalar ones; whenever they are built, the same ``seed`` and key order
+give the same draws.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +44,9 @@ _PRIME = (1 << 61) - 1
 
 _PAIR_SHIFT = 32
 _PAIR_MASK = (1 << _PAIR_SHIFT) - 1
+
+# Serialises the lazy scalar builds (see PerfectHashMap._ensure_scalar).
+_SCALAR_BUILD_LOCK = threading.Lock()
 
 
 def pack_pair(u: int, v: int) -> int:
@@ -137,10 +149,8 @@ class PerfectHashMap:
         self._a = 1
         self._b = 0
         self._frozen: Optional[_FrozenTables] = None
-        self._scalar_ready = True
+        self._scalar_ready = False
         self._frozen_first = False
-        if self._n:
-            self._build()
 
     @classmethod
     def from_frozen(cls, keys, values, level1: Sequence[int], level2_a,
@@ -182,15 +192,23 @@ class PerfectHashMap:
         return self
 
     def _ensure_scalar(self) -> None:
-        """Build the scalar FKS structures of a frozen-first map."""
+        """Build the scalar FKS structures on first scalar access.
+
+        Readers may share a map across threads, so the build runs under
+        a lock and the ready flag flips only once the buckets exist.
+        """
         if self._scalar_ready:
             return
-        self._keys = [int(key) for key in self._keys.tolist()]
-        self._values = [float(value) for value in self._values.tolist()]
-        self._rng = random.Random(self._seed)
-        self._scalar_ready = True
-        if self._n:
-            self._build()
+        with _SCALAR_BUILD_LOCK:
+            if self._scalar_ready:
+                return
+            if isinstance(self._keys, np.ndarray):  # frozen-first
+                self._keys = self._keys.tolist()
+                self._values = self._values.tolist()
+            self._rng = random.Random(self._seed)
+            if self._n:
+                self._build()
+            self._scalar_ready = True
 
     # ------------------------------------------------------------------
     # construction
@@ -434,6 +452,7 @@ class PerfectHashMap:
         """
         if self._frozen_first:
             return int(self._frozen.slots.shape[0])
+        self._ensure_scalar()
         return sum(bucket.size for bucket in self._buckets if bucket is not None)
 
     def size_bytes(self, value_bytes: int = 8) -> int:

@@ -18,14 +18,15 @@ refactor it runs over :class:`~repro.datastructures.csr.CSRGraph` and
 dispatches between two implementations:
 
 * a **SciPy fast path** for full-component and radius-bounded searches
-  on the frozen static section — ``scipy.sparse.csgraph.dijkstra``
-  over the graph's cached CSR matrix, with the exact ``frontier_min``
-  of the radius rule reconstructed by one vectorised gather over the
-  settled rows.  Distances are bit-identical to the reference kernel:
-  both compute the same ``min`` over the same float64 path sums.
+  — ``scipy.sparse.csgraph.dijkstra`` over the graph's cached CSR
+  matrix (static section plus overlay, if any), with the exact
+  ``frontier_min`` of the radius rule reconstructed by one vectorised
+  gather over the searched matrix's settled rows.  Distances are
+  bit-identical to the reference kernel: both compute the same
+  ``min`` over the same float64 path sums.
 * a **pure-Python array kernel** for the cover-targets / single-target
-  rules, parent tracking, overlay-touching graphs, or when SciPy is
-  missing.  Tentative distances, parents and visit labels live in
+  rules, parent tracking, or when SciPy is missing.  Tentative
+  distances, parents and visit labels live in
   preallocated flat arrays borrowed from the graph's scratch pool and
   reset in O(1) by generation stamping, instead of the per-call dicts
   of the original kernel (kept below as :func:`dijkstra_reference` for
@@ -34,6 +35,11 @@ dispatches between two implementations:
   longer fills with entries that could only ever be popped after the
   stopping rule fires — while still reporting the exact
   ``frontier_min`` the unpruned kernel would.
+
+:func:`target_distances` is the build's SSAD primitive: one search
+(either kernel) whose distances to a fixed target array are gathered
+off a dense distance vector, with no per-node Python work and no
+``frontier_min``.
 
 ``source`` may be a sequence for multi-source searches (the frontier
 starts at distance 0 from every source).  Both kernels accept a
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +65,9 @@ except ImportError:  # pragma: no cover - depends on environment
 
 __all__ = [
     "DijkstraResult",
+    "TargetRow",
     "dijkstra",
+    "target_distances",
     "dijkstra_reference",
     "bidirectional_distance",
 ]
@@ -191,27 +199,24 @@ def dijkstra(graph: Adjacency,
             and (radius is None or radius >= 0.0)):
         matrix = csr.scipy_matrix()
         if matrix is not None:
-            return _dijkstra_scipy(csr, matrix, sources, radius)
+            return _dijkstra_scipy(matrix, sources, radius)
     return _dijkstra_python(csr, sources, radius, targets, single_target,
                             return_parents)
 
 
-def _dijkstra_scipy(csr: CSRGraph, matrix, sources: Tuple[int, ...],
+def _dijkstra_scipy(matrix, sources: Tuple[int, ...],
                     radius: Optional[float]) -> DijkstraResult:
     """Full-component / radius-bounded search via scipy.sparse.csgraph."""
-    limit = math.inf if radius is None else radius
-    if len(sources) == 1:
-        dist = _scipy_dijkstra(matrix, indices=sources[0], limit=limit)
-    else:
-        dist = _scipy_dijkstra(matrix, indices=list(sources), limit=limit,
-                               min_only=True)
+    dist = _scipy_distances(matrix, sources, radius)
     finite = np.isfinite(dist)
     ids = np.flatnonzero(finite)
     frontier_min = math.inf
     if radius is not None:
         # Reconstruct the exact frontier_min of the unbounded kernel:
         # the smallest candidate distance leaving the settled region.
-        indptr = csr.indptr
+        # Read the matrix that was searched: with an overlay it holds
+        # rows ``csr.indptr`` does not.
+        indptr = matrix.indptr
         starts = indptr[ids]
         counts = indptr[ids + 1] - starts
         total = int(counts.sum())
@@ -220,14 +225,72 @@ def _dijkstra_scipy(csr: CSRGraph, matrix, sources: Tuple[int, ...],
             step = np.arange(total, dtype=np.int64) \
                 - np.repeat(np.cumsum(counts) - counts, counts)
             positions = base + step
-            neighbors = csr.indices[positions]
-            candidates = np.repeat(dist[ids], counts) + csr.weights[positions]
+            neighbors = matrix.indices[positions]
+            candidates = np.repeat(dist[ids], counts) + matrix.data[positions]
             outside = ~finite[neighbors]
             if outside.any():
                 frontier_min = float(candidates[outside].min())
     return DijkstraResult(settled_ids=ids.tolist(),
                           settled_dists=dist[ids].tolist(),
                           frontier_min=frontier_min)
+
+
+def _scipy_distances(matrix, sources: Tuple[int, ...],
+                     radius: Optional[float]) -> np.ndarray:
+    """SciPy's dense distance vector (``inf`` = not settled)."""
+    limit = math.inf if radius is None else radius
+    if len(sources) == 1:
+        return _scipy_dijkstra(matrix, indices=sources[0], limit=limit)
+    return _scipy_dijkstra(matrix, indices=list(sources), limit=limit,
+                           min_only=True)
+
+
+class TargetRow(NamedTuple):
+    """One SSAD's distances to the targets it settled.
+
+    ``positions`` index the ``targets`` array the search was given, in
+    ascending order; ``distances`` are aligned with them.  The two
+    counters are the search-effort measures of :class:`DijkstraResult`.
+    """
+
+    positions: np.ndarray
+    distances: np.ndarray
+    settled_count: int
+    heap_pushes: int
+
+
+def target_distances(graph: Adjacency, source: int, targets: np.ndarray,
+                     *, radius: Optional[float] = None) -> TargetRow:
+    """Distances from ``source`` to every target it settles.
+
+    Runs the full-component search (``radius=None``) or the
+    radius-bounded one, then gathers ``targets`` off the dense
+    distance vector.  With SciPy that vector is the one
+    ``csgraph.dijkstra`` returns; without it the pure-Python kernel's
+    settled nodes are scattered into one.  Either way targets beyond
+    ``radius`` or in another component are absent, a target at
+    exactly ``radius`` is present, and the row follows ``targets``'
+    order (ascending node id when ``targets`` is sorted).
+    """
+    csr = _as_csr(graph)
+    source = int(source)
+    matrix = None
+    if _scipy_dijkstra is not None and (radius is None or radius >= 0.0):
+        matrix = csr.scipy_matrix()
+    if matrix is not None:
+        dist = _scipy_distances(matrix, (source,), radius)
+        settled = int(np.count_nonzero(dist != math.inf))
+        pushes = 0
+    else:
+        result = _dijkstra_python(csr, (source,), radius, None, None, False)
+        dist = np.full(csr.num_nodes, math.inf)
+        dist[np.asarray(result.settled_ids, dtype=np.int64)] = \
+            result.settled_dists
+        settled = result.settled_count
+        pushes = result.heap_pushes
+    reached = dist[targets]
+    positions = np.flatnonzero(reached != math.inf)
+    return TargetRow(positions, reached[positions], settled, pushes)
 
 
 def _dijkstra_python(csr: CSRGraph, sources: Tuple[int, ...],

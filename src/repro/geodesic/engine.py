@@ -38,7 +38,7 @@ import numpy as np
 from ..datastructures.csr import CSRGraph
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POISet
-from .dijkstra import DijkstraResult, dijkstra
+from .dijkstra import DijkstraResult, TargetRow, dijkstra, target_distances
 from .graph import GeodesicGraph
 
 __all__ = ["GeodesicEngine", "EngineSnapshot"]
@@ -114,10 +114,7 @@ class GeodesicEngine:
         self._graph = GeodesicGraph(mesh, points_per_edge,
                                     weight_fn=weight_fn)
         self._poi_nodes: List[int] = self._graph.attach_pois(pois)
-        self._node_to_poi: Dict[int, int] = {}
-        for poi_index, node in enumerate(self._poi_nodes):
-            # A vertex node can host at most one POI after dedup.
-            self._node_to_poi[node] = poi_index
+        self._index_poi_nodes()
         self.ssad_calls = 0
         self.settled_nodes = 0
         self.heap_pushes = 0
@@ -205,9 +202,7 @@ class GeodesicEngine:
             snapshot.points_per_edge,
         )
         engine._poi_nodes = list(snapshot.poi_nodes)
-        engine._node_to_poi = {
-            node: poi for poi, node in enumerate(engine._poi_nodes)
-        }
+        engine._index_poi_nodes()
         engine.ssad_calls = 0
         engine.settled_nodes = 0
         engine.heap_pushes = 0
@@ -224,22 +219,17 @@ class GeodesicEngine:
         With ``radius`` set this is the paper's SSAD *version 2*: the
         search stops once the frontier passes ``radius`` and only POIs
         within the radius appear in the result.  Without it this is
-        *version 1*: the search runs until every POI is settled.
+        *version 1*: the search settles the whole component, so every
+        reachable POI appears.  The POI distances are gathered off the
+        search's distance vector (:func:`~repro.geodesic.dijkstra.
+        target_distances`); the row lists POIs in ascending node-id
+        order.
         """
-        source = self._poi_nodes[poi_index]
-        csr = self._graph.csr
-        if radius is None:
-            result = dijkstra(csr, source, targets=self._poi_nodes)
-        else:
-            result = dijkstra(csr, source, radius=radius)
-        self._account(result)
-        distances: Dict[int, float] = {}
-        node_to_poi = self._node_to_poi
-        for node, dist in zip(result.settled_ids, result.settled_dists):
-            poi = node_to_poi.get(node)
-            if poi is not None:
-                distances[poi] = dist
-        return distances
+        row = target_distances(self._graph.csr, self._poi_nodes[poi_index],
+                               self._target_nodes, radius=radius)
+        self._account(row)
+        return dict(zip(self._target_pois[row.positions].tolist(),
+                        row.distances.tolist()))
 
     def distances_many(self, poi_indices: Sequence[int],
                        radius: Union[None, float,
@@ -250,10 +240,11 @@ class GeodesicEngine:
         ``radius`` may be a single value shared by every source or a
         per-source sequence (entries may be ``None`` for cover-all
         mode) — the form the enhanced-edge builder uses to sweep one
-        partition-tree layer per call.  Currently a convenience loop
-        (per-search scratch pooling already amortises the buffers);
-        the batch boundary is where a vectorised or sharded bulk
-        primitive slots in without touching call sites.
+        partition-tree layer per call.  Each source is one search
+        whose row is gathered off its distance vector with no
+        per-node Python work; the batch boundary is where a sharded
+        or multi-source bulk primitive slots in without touching call
+        sites.
         """
         poi_indices = list(poi_indices)
         if radius is None or isinstance(radius, (int, float)):
@@ -373,7 +364,19 @@ class GeodesicEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _account(self, result: DijkstraResult) -> None:
+    def _index_poi_nodes(self) -> None:
+        """Sorted POI host nodes and the POI each one hosts.
+
+        A vertex node can host at most one POI after dedup; should two
+        share a node anyway, the later POI owns it.
+        """
+        node_to_poi = {node: poi for poi, node in enumerate(self._poi_nodes)}
+        nodes = sorted(node_to_poi)
+        self._target_nodes = np.array(nodes, dtype=np.int64)
+        self._target_pois = np.array([node_to_poi[node] for node in nodes],
+                                     dtype=np.int64)
+
+    def _account(self, result: Union[DijkstraResult, TargetRow]) -> None:
         self.ssad_calls += 1
         self.settled_nodes += result.settled_count
         self.heap_pushes += result.heap_pushes

@@ -10,6 +10,7 @@ randomized terrains, with and without an attached-site overlay.
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from repro.geodesic import (
     dijkstra,
     dijkstra_reference,
 )
+from repro.geodesic.dijkstra import target_distances
 from repro.terrain import make_terrain, sample_uniform
 
 
@@ -316,3 +318,138 @@ class TestOracleBatchedAPIs:
         assert list(batched) == [oracle.query(a, b) for a, b in pairs]
         with pytest.raises(KeyError):
             oracle.query_batch([0], [999])
+
+
+# ----------------------------------------------------------------------
+# known answers for the build's gather primitive
+# ----------------------------------------------------------------------
+# Weights are dyadic so every path sum is exact.  From node 0:
+#   0 -1.0- 1 -2.0- 2 -0.0- 3        d(1)=1, d(2)=3, d(3)=3 (zero edge)
+#   0 -3.5- 4 -0.25- 2               d(4)=3.25 (via 2, not the 3.5 edge)
+#   5 -1.0- 6                        another component
+KNOWN_NEIGHBORS = [[1, 4], [0, 2], [1, 3, 4], [2], [0, 2], [6], [5]]
+KNOWN_WEIGHTS = [[1.0, 3.5], [1.0, 2.0], [2.0, 0.0, 0.25], [0.0],
+                 [3.5, 0.25], [1.0], [1.0]]
+KNOWN_TARGETS = np.array([1, 3, 4, 5], dtype=np.int64)
+
+
+@pytest.fixture(params=["scipy", "python"])
+def kernel(request):
+    """Run the test once per kernel (SciPy, then pure Python).
+
+    Without SciPy installed both runs take the pure-Python kernel.
+    """
+    if request.param == "scipy":
+        yield request.param
+    else:
+        with mock.patch.object(dijkstra_module, "_scipy_dijkstra", None):
+            yield request.param
+
+
+class TestTargetDistances:
+    @pytest.fixture
+    def csr(self):
+        return CSRGraph.from_lists(KNOWN_NEIGHBORS, KNOWN_WEIGHTS)
+
+    def test_target_at_exactly_radius_is_included(self, csr, kernel):
+        row = target_distances(csr, 0, KNOWN_TARGETS, radius=3.0)
+        assert row.positions.tolist() == [0, 1]  # nodes 1 and 3
+        assert row.distances.tolist() == [1.0, 3.0]
+        assert row.settled_count == 4  # nodes 0, 1, 2, 3
+
+    def test_unreachable_target_is_absent(self, csr, kernel):
+        row = target_distances(csr, 0, KNOWN_TARGETS, radius=100.0)
+        assert 3 not in row.positions.tolist()  # node 5
+        row = target_distances(csr, 5, KNOWN_TARGETS)
+        assert row.positions.tolist() == [3]  # only itself
+        assert row.distances.tolist() == [0.0]
+
+    def test_zero_weight_edge(self, csr, kernel):
+        row = target_distances(csr, 2, np.array([3], dtype=np.int64),
+                               radius=0.0)
+        assert row.positions.tolist() == [0]
+        assert row.distances.tolist() == [0.0]
+        assert row.settled_count == 2  # nodes 2 and 3, both at 0.0
+
+    def test_cover_all_settles_whole_component(self, csr, kernel):
+        row = target_distances(csr, 0, KNOWN_TARGETS)
+        assert row.positions.tolist() == [0, 1, 2]
+        assert row.distances.tolist() == [1.0, 3.0, 3.25]
+        assert row.settled_count == 5  # component {0, 1, 2, 3, 4}
+
+    def test_rows_follow_target_order(self, csr, kernel):
+        row = target_distances(csr, 0, np.array([4, 1, 3], dtype=np.int64))
+        assert row.positions.tolist() == [0, 1, 2]
+        assert row.distances.tolist() == [3.25, 1.0, 3.0]
+
+    def test_heap_pushes_only_from_python_kernel(self, csr, kernel):
+        row = target_distances(csr, 0, KNOWN_TARGETS)
+        python_kernel = dijkstra_module._scipy_dijkstra is None
+        assert (row.heap_pushes > 0) == python_kernel
+
+    def test_engine_rows_in_ascending_node_order(self, kernel):
+        mesh = make_terrain(grid_exponent=3, seed=4)
+        pois = sample_uniform(mesh, 12, seed=4)
+        engine = GeodesicEngine(mesh, pois, points_per_edge=1)
+        full = dijkstra_reference(engine.graph.adjacency, engine.poi_node(3))
+        for radius in (None, 30.0):
+            row = engine.distances_from_poi(3, radius=radius)
+            nodes = [engine.poi_node(poi) for poi in row]
+            assert nodes == sorted(nodes)
+            expected = {
+                poi: full.distances[engine.poi_node(poi)]
+                for poi in range(engine.num_pois)
+                if radius is None
+                or full.distances[engine.poi_node(poi)] <= radius
+            }
+            assert row == expected
+
+
+class TestOverlayMatrix:
+    """The SciPy matrix follows every overlay mutation."""
+
+    @staticmethod
+    def reference(csr, source, radius=None):
+        rows = [csr.neighbors(node) for node in range(csr.num_nodes)]
+        adjacency = ([n for n, _ in rows], [w for _, w in rows])
+        return dijkstra_reference(adjacency, source, radius=radius)
+
+    def test_attach_search_detach_search(self):
+        csr = CSRGraph.from_lists(KNOWN_NEIGHBORS, KNOWN_WEIGHTS)
+        static = csr.scipy_matrix()  # None without SciPy
+        _assert_same(dijkstra(csr, 0), self.reference(csr, 0))
+
+        node = csr.attach_node([0, 3], [0.5, 0.5])
+        if static is not None:
+            assert csr.scipy_matrix() is not static
+            assert csr.scipy_matrix().shape == (8, 8)
+        for source in (0, node):
+            _assert_same(dijkstra(csr, source), self.reference(csr, source))
+            _assert_same(dijkstra(csr, source, radius=1.0),
+                         self.reference(csr, source, radius=1.0))
+        assert dijkstra(csr, 0).distances[3] == 1.0  # through the overlay
+
+        csr.detach_last()
+        assert csr.scipy_matrix() is static
+        _assert_same(dijkstra(csr, 0), self.reference(csr, 0))
+
+        # Same id, different edges: a stale matrix would keep 0.5.
+        again = csr.attach_node([0, 6], [2.0, 0.25])
+        assert again == node
+        for source in (0, again, 5):
+            _assert_same(dijkstra(csr, source), self.reference(csr, source))
+        assert dijkstra(csr, 0).distances[3] == 3.0
+        assert dijkstra(csr, 0).distances[5] == 3.25
+
+    def test_overlay_to_overlay_edges(self):
+        csr = CSRGraph.from_lists(KNOWN_NEIGHBORS, KNOWN_WEIGHTS)
+        first = csr.attach_node([1], [0.5])
+        assert 5 not in dijkstra(csr, first).distances
+        second = csr.attach_node([first, 5], [0.5, 0.5])
+        for source in (0, first, second, 6):
+            _assert_same(dijkstra(csr, source), self.reference(csr, source))
+            _assert_same(dijkstra(csr, source, radius=1.5),
+                         self.reference(csr, source, radius=1.5))
+        csr.detach_last()
+        _assert_same(dijkstra(csr, 0), self.reference(csr, 0))
+        assert 5 not in dijkstra(csr, 0).distances

@@ -103,7 +103,28 @@ class TestPerfectHashMap:
         entries = [(i, i) for i in range(100)]
         t1 = PerfectHashMap(entries, seed=11)
         t2 = PerfectHashMap(entries, seed=11)
+        assert 0 in t1 and 0 in t2  # the scalar tables build lazily
         assert t1._a == t2._a and t1._b == t2._b
+
+    def test_scalar_tables_build_on_first_scalar_access(self):
+        entries = [(i * 7 + 3, float(i)) for i in range(300)]
+        table = PerfectHashMap(entries, seed=5)
+        assert not table._scalar_ready
+        table.get_batch(np.array([3, 10, 11], dtype=np.uint64))
+        table.frozen_arrays()
+        assert not table._scalar_ready  # batch probes need only frozen
+        assert table.get(10) == 1.0
+        assert table._scalar_ready
+
+    def test_size_bytes_independent_of_access_history(self):
+        entries = [(i * 7 + 3, float(i)) for i in range(300)]
+        fresh = PerfectHashMap(entries, seed=5)
+        probed = PerfectHashMap(entries, seed=5)
+        assert probed[3] == 0.0
+        probed.get_batch(np.array([3], dtype=np.uint64))
+        assert fresh.size_bytes() == probed.size_bytes()
+        assert fresh.slot_count() == probed.slot_count()
+        assert fresh._a == probed._a and fresh._b == probed._b
 
     def test_packed_pair_keys(self):
         pairs = [(i, j) for i in range(20) for j in range(20)]
